@@ -270,31 +270,49 @@ int main(int argc, char** argv) {
     }
 
     // ---- The multicolor m-step SSOR sweep ---------------------------------
+    // Once per segment layout: SELL segments (what CSR and SELL operators
+    // get) and DIA segments (what a DIA operator gets).
     {
       const auto cs = color::make_colored_system(
           csr, color::six_color_classes(mesh));
       const int m = 4;
-      const core::MulticolorMStepSsor prec(
-          cs, core::least_squares_alphas(m, core::ssor_interval()));
+      const std::vector<double> alphas =
+          core::least_squares_alphas(m, core::ssor_interval());
       const Vec res = rng.uniform_vector(static_cast<std::size_t>(n));
       Vec z(static_cast<std::size_t>(n));
-      Row r;
-      r.kernel = "sweep";
-      r.format = "csr";
-      r.n = n;
-      const long long traversals = prec.offdiag_traversals_per_apply();
-      // Off-diagonal mul+adds plus the per-step 4-flop recombine per row.
-      r.flops_per_apply = 2 * traversals + 4LL * m * n;
-      // val + col + gathered z per traversal; z/y/r/diag streams per step.
-      r.bytes_per_apply = 20 * traversals + 40LL * m * n;
-      measure(&r, [&] { prec.apply(res, z); },
-              [&] {
-                Vec fresh;
-                prec.apply(res, fresh);
-                return fresh;
-              },
-              target_flops, repeats);
-      rows.push_back(r);
+      for (const la::SegmentLayout layout :
+           {la::SegmentLayout::kSell, la::SegmentLayout::kDia}) {
+        const core::MulticolorMStepSsor prec(
+            core::SweepPlan::build(cs, layout), alphas);
+        Row r;
+        r.kernel = "sweep";
+        r.n = n;
+        const long long traversals = prec.offdiag_traversals_per_apply();
+        // Off-diagonal mul+adds plus the per-step 4-flop recombine per row.
+        r.flops_per_apply = 2 * traversals + 4LL * m * n;
+        if (layout == la::SegmentLayout::kSell) {
+          r.format = "csr";
+          // val + col + gathered z per traversal; z/y/r/diag streams per
+          // step.
+          r.bytes_per_apply = 20 * traversals + 40LL * m * n;
+        } else {
+          r.format = "dia";
+          // Per stored diagonal element and step: v, z and the class sum
+          // (read + write); z/y/r/diag streams per step.
+          r.bytes_per_apply =
+              32LL * m *
+                  static_cast<long long>(prec.plan()->stored_values()) +
+              40LL * m * n;
+        }
+        measure(&r, [&] { prec.apply(res, z); },
+                [&] {
+                  Vec fresh;
+                  prec.apply(res, fresh);
+                  return fresh;
+                },
+                target_flops, repeats);
+        rows.push_back(r);
+      }
     }
 
     // ---- Trace-off overhead -----------------------------------------------

@@ -1,7 +1,6 @@
 #include "color/coloring.hpp"
 
 #include <cassert>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -217,19 +216,28 @@ ClassDiagonalCensus compute_class_diagonal_census(const ColoredSystem& cs,
   const auto& col = cs.matrix.col_idx();
   const auto& val = cs.matrix.values();
 
+  // seen[offset + n] holds the id of the last block that counted the
+  // offset (2c: class c's lower block, 2c + 1: its upper block) — one
+  // O(nnz) pass with no ordered set.
+  const index_t n = cs.size();
+  std::vector<int> seen(static_cast<std::size_t>(2 * n + 1), -1);
+  const auto count = [&](index_t u, index_t i, int id, int& total) {
+    if (val[u] == 0.0) return;
+    int& mark = seen[static_cast<std::size_t>(col[u] - i + n)];
+    if (mark != id) {
+      mark = id;
+      ++total;
+    }
+  };
   for (int c = 0; c < nc; ++c) {
-    std::set<index_t> lower_offsets;
-    std::set<index_t> upper_offsets;
     for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1]; ++i) {
       for (index_t u = rp[i]; u < splits.lo_end[i]; ++u) {
-        if (val[u] != 0.0) lower_offsets.insert(col[u] - i);
+        count(u, i, 2 * c, census.lower[c]);
       }
       for (index_t u = splits.up_begin[i]; u < rp[i + 1]; ++u) {
-        if (val[u] != 0.0) upper_offsets.insert(col[u] - i);
+        count(u, i, 2 * c + 1, census.upper[c]);
       }
     }
-    census.lower[c] = static_cast<int>(lower_offsets.size());
-    census.upper[c] = static_cast<int>(upper_offsets.size());
   }
   return census;
 }

@@ -1,49 +1,72 @@
 #include "core/multicolor_mstep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <stdexcept>
 
-#include "la/simd.hpp"
 #include "obs/trace.hpp"
 
 namespace mstep::core {
 
+namespace {
+std::atomic<long long> g_plan_builds{0};
+}  // namespace
+
+std::shared_ptr<const SweepPlan> SweepPlan::build(
+    const color::ColoredSystem& cs, la::SegmentLayout layout) {
+  g_plan_builds.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<SweepPlan> plan(new SweepPlan());
+  plan->cs_ = &cs;
+  plan->layout_ = layout;
+  plan->splits_ = color::compute_row_splits(cs);
+  plan->census_ = color::compute_class_diagonal_census(cs, plan->splits_);
+
+  // Each class's strictly-lower / strictly-upper row segments, laid out
+  // once.  The sweeps sum them a whole class at a time through
+  // ClassSegments::neg_sums — vectorized ACROSS the rows of a class, which
+  // the multicolor ordering makes independent — and the threaded and
+  // sharded sweeps run the identical kernel over part ranges, which is
+  // what keeps serial == threaded == sharded == SIMD-on == SIMD-off.
+  const auto& rp = cs.matrix.row_ptr();
+  const int nc = cs.num_classes();
+  plan->lower_.reserve(nc);
+  plan->upper_.reserve(nc);
+  for (int c = 0; c < nc; ++c) {
+    plan->lower_.push_back(la::ClassSegments::build(
+        layout, cs.matrix, rp.data(), plan->splits_.lo_end.data(),
+        cs.class_start[c], cs.class_start[c + 1]));
+    plan->upper_.push_back(la::ClassSegments::build(
+        layout, cs.matrix, plan->splits_.up_begin.data(), rp.data() + 1,
+        cs.class_start[c], cs.class_start[c + 1]));
+  }
+  return plan;
+}
+
+std::size_t SweepPlan::stored_values() const {
+  std::size_t total = 0;
+  for (const la::ClassSegments& s : lower_) total += s.stored_values();
+  for (const la::ClassSegments& s : upper_) total += s.stored_values();
+  return total;
+}
+
+long long SweepPlan::builds() {
+  return g_plan_builds.load(std::memory_order_relaxed);
+}
+
 MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
                                          std::vector<double> alphas,
                                          KernelLog* log)
-    : cs_(&cs), alphas_(std::move(alphas)), log_(log),
-      splits_(color::compute_row_splits(cs)) {
+    : MulticolorMStepSsor(SweepPlan::build(cs, la::SegmentLayout::kSell),
+                          std::move(alphas), log) {}
+
+MulticolorMStepSsor::MulticolorMStepSsor(std::shared_ptr<const SweepPlan> plan,
+                                         std::vector<double> alphas,
+                                         KernelLog* log)
+    : plan_(std::move(plan)), cs_(&plan_->system()),
+      alphas_(std::move(alphas)), log_(log) {
   if (alphas_.empty()) {
     throw std::invalid_argument("MulticolorMStepSsor: need m >= 1");
-  }
-  const color::ClassDiagonalCensus census =
-      color::compute_class_diagonal_census(cs, splits_);
-  ndiags_lower_ = census.lower;
-  ndiags_upper_ = census.upper;
-
-  // Slice each class's strictly-lower / strictly-upper row segments into
-  // SELL layout once.  The sweep then sums them 4 rows at a time through
-  // simd::sell_neg_slices — bitwise -row_dot(segment) per row (the SELL
-  // lanes replay row_dot's schedule and negation commutes with rounding),
-  // but vectorized ACROSS the rows of a class, which the multicolor
-  // ordering makes independent.  The parallel sweep
-  // (par/colored_sweep.cpp) runs the identical kernel over slice ranges,
-  // which is what keeps serial == threaded == SIMD-on == SIMD-off.
-  const auto& rp = cs.matrix.row_ptr();
-  const int nc = cs.num_classes();
-  lower_.reserve(nc);
-  upper_.reserve(nc);
-  for (int c = 0; c < nc; ++c) {
-    lower_.push_back(la::SellSegments::build(cs.matrix, rp.data(),
-                                             splits_.lo_end.data(),
-                                             cs.class_start[c],
-                                             cs.class_start[c + 1]));
-    upper_.push_back(la::SellSegments::build(cs.matrix,
-                                             splits_.up_begin.data(),
-                                             rp.data() + 1,
-                                             cs.class_start[c],
-                                             cs.class_start[c + 1]));
   }
 }
 
@@ -57,10 +80,13 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
   y_.assign(n, 0.0);
   xl_.resize(n);  // written per class before it is read
 
+  const SweepPlan& plan = *plan_;
+  const Vec& diag = plan.splits().diag;
   auto log_class = [&](int c, bool lower) {
     if (!log_) return;
     const index_t len = cs_->class_size(c);
-    log_->spmv_diagonals(len, lower ? ndiags_lower_[c] : ndiags_upper_[c]);
+    log_->spmv_diagonals(len, lower ? plan.census().lower[c]
+                                    : plan.census().upper[c]);
     log_->vec_op(len, 3);  // x + y + alpha*r fused adds
     log_->diag_op(len);    // divide by D_c
   };
@@ -71,13 +97,12 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
     // Forward half-sweep.  For class 0 this doubles as the deferred
     // backward update of the previous step (y holds its upper sums).
     for (int c = 0; c < nc; ++c) {
-      const la::SellSegments& segs = lower_[c];
-      la::simd::sell_neg_slices(segs.view(), z.data(), xl_.data(), 0,
-                                segs.num_slices());
+      const la::ClassSegments& segs = plan.lower(c);
+      segs.neg_sums(z.data(), xl_.data(), 0, segs.num_parts());
       for (index_t i = cs_->class_start[c]; i < cs_->class_start[c + 1];
            ++i) {
         const double xl = xl_[i];
-        z[i] = (xl + y_[i] + a * r[i]) / splits_.diag[i];
+        z[i] = (xl + y_[i] + a * r[i]) / diag[i];
         // The last class has no upper couplings: its "saved" value for the
         // next use must be the (empty) upper sum, not the lower sum.
         y_[i] = (c == nc - 1) ? 0.0 : xl;
@@ -88,13 +113,12 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
     // (its backward value equals the forward value just computed); class 0
     // is deferred (see below).
     for (int c = nc - 2; c >= 1; --c) {
-      const la::SellSegments& segs = upper_[c];
-      la::simd::sell_neg_slices(segs.view(), z.data(), xl_.data(), 0,
-                                segs.num_slices());
+      const la::ClassSegments& segs = plan.upper(c);
+      segs.neg_sums(z.data(), xl_.data(), 0, segs.num_parts());
       for (index_t i = cs_->class_start[c]; i < cs_->class_start[c + 1];
            ++i) {
         const double xu = xl_[i];
-        z[i] = (xu + y_[i] + a * r[i]) / splits_.diag[i];
+        z[i] = (xu + y_[i] + a * r[i]) / diag[i];
         y_[i] = xu;
       }
       log_class(c, /*lower=*/false);
@@ -102,16 +126,15 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
     // Class 0: save its upper sums (scattered straight into y); the solve
     // is deferred to the next forward pass (inner steps) or the final
     // solve below (last step).
-    la::simd::sell_neg_slices(upper_[0].view(), z.data(), y_.data(), 0,
-                              upper_[0].num_slices());
+    plan.upper(0).neg_sums(z.data(), y_.data(), 0, plan.upper(0).num_parts());
     if (log_) {
-      log_->spmv_diagonals(cs_->class_size(0), ndiags_upper_[0]);
+      log_->spmv_diagonals(cs_->class_size(0), plan.census().upper[0]);
       log_->end_precond_step();
     }
   }
   // Final deferred class-0 solve with alpha_0 — line (3) of Algorithm 2.
   for (index_t i = cs_->class_start[0]; i < cs_->class_start[1]; ++i) {
-    z[i] = (y_[i] + alphas_[0] * r[i]) / splits_.diag[i];
+    z[i] = (y_[i] + alphas_[0] * r[i]) / diag[i];
   }
   if (log_) {
     log_->vec_op(cs_->class_size(0), 2);

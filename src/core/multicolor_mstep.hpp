@@ -24,21 +24,68 @@
 // colour-permuted matrix; the tests verify the equivalence to rounding.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "color/coloring.hpp"
 #include "core/kernel_log.hpp"
 #include "core/preconditioner.hpp"
-#include "la/sell_matrix.hpp"
+#include "la/class_segments.hpp"
 
 namespace mstep::core {
 
+/// The read-only half of the sweep: row splits, the class diagonal census
+/// and every class's strictly-lower / strictly-upper coupling segments in
+/// one layout.  Built once per pipeline and shared by every sweep over it
+/// — serial, threaded, each batch lane, each daemon cache hit — which own
+/// only their y / scratch vectors.
+class SweepPlan {
+ public:
+  /// `cs` must outlive the plan; its diagonal class blocks must be
+  /// diagonal (throws std::invalid_argument otherwise).
+  [[nodiscard]] static std::shared_ptr<const SweepPlan> build(
+      const color::ColoredSystem& cs, la::SegmentLayout layout);
+
+  [[nodiscard]] const color::ColoredSystem& system() const { return *cs_; }
+  [[nodiscard]] la::SegmentLayout layout() const { return layout_; }
+  [[nodiscard]] const color::RowSplits& splits() const { return splits_; }
+  [[nodiscard]] const color::ClassDiagonalCensus& census() const {
+    return census_;
+  }
+  [[nodiscard]] const la::ClassSegments& lower(int c) const {
+    return lower_[c];
+  }
+  [[nodiscard]] const la::ClassSegments& upper(int c) const {
+    return upper_[c];
+  }
+  /// Stored doubles over every class's segments.
+  [[nodiscard]] std::size_t stored_values() const;
+
+  /// Plans built so far in this process — lets tests prove that a solve
+  /// path reuses a plan instead of building one per call.
+  [[nodiscard]] static long long builds();
+
+ private:
+  SweepPlan() = default;
+
+  const color::ColoredSystem* cs_ = nullptr;
+  la::SegmentLayout layout_ = la::SegmentLayout::kSell;
+  color::RowSplits splits_;
+  color::ClassDiagonalCensus census_;
+  std::vector<la::ClassSegments> lower_;
+  std::vector<la::ClassSegments> upper_;
+};
+
 class MulticolorMStepSsor : public Preconditioner {
  public:
+  /// Builds its own plan in the SELL layout (the default CSR format's).
   /// `cs` must remain alive; its diagonal class blocks must be diagonal
   /// (verified, throws std::invalid_argument otherwise).
   /// `alphas[i]` is the coefficient of G^i, m = alphas.size().
   MulticolorMStepSsor(const color::ColoredSystem& cs,
+                      std::vector<double> alphas, KernelLog* log = nullptr);
+  /// Sweeps over a shared plan (whose system must remain alive).
+  MulticolorMStepSsor(std::shared_ptr<const SweepPlan> plan,
                       std::vector<double> alphas, KernelLog* log = nullptr);
 
   [[nodiscard]] index_t size() const override { return cs_->size(); }
@@ -48,23 +95,19 @@ class MulticolorMStepSsor : public Preconditioner {
   }
   [[nodiscard]] std::string name() const override;
 
+  [[nodiscard]] const std::shared_ptr<const SweepPlan>& plan() const {
+    return plan_;
+  }
+
   /// Off-diagonal entry traversals per apply() — the quantity the
   /// Conrad–Wallach trick halves.  Exposed for the ablation bench.
   [[nodiscard]] long long offdiag_traversals_per_apply() const;
 
  private:
+  std::shared_ptr<const SweepPlan> plan_;
   const color::ColoredSystem* cs_;
   std::vector<double> alphas_;
   KernelLog* log_;
-
-  color::RowSplits splits_;        // diagonal + lower/upper row split points
-  std::vector<int> ndiags_lower_;  // per class: diagonal count of lower block
-  std::vector<int> ndiags_upper_;  // per class: diagonal count of upper block
-  // Per class: the strictly-lower / strictly-upper row segments in SELL
-  // slices, summed 4 rows at a time by simd::sell_neg_slices — bitwise
-  // -row_dot per row, but vectorized ACROSS the class's independent rows.
-  std::vector<la::SellSegments> lower_;
-  std::vector<la::SellSegments> upper_;
   mutable Vec y_;   // Conrad–Wallach auxiliary vector
   mutable Vec xl_;  // scratch: the current class's scattered sums
 };

@@ -66,4 +66,61 @@ class DiaMatrix {
   std::vector<std::vector<double>> diag_;  // diag_[d][i] = A(i, i+offset_d)
 };
 
+/// Diagonal storage of per-row SEGMENTS of a CSR matrix: the strictly-
+/// lower / strictly-upper couplings of one colour class, the layout the
+/// paper's CYBER sweep runs on (Section 3.1).  Within a class, the
+/// couplings to the other classes lie on a few long diagonals; each
+/// distinct offset k = column - row is stored once, as the values of its
+/// live row range [lo, hi) (class-local rows, first to last row holding
+/// a nonzero on it, holes stored as 0).  Explicit zeros are dropped and
+/// there are no column indices.  A class block's offsets are a subset of
+/// the whole matrix's nonzero diagonals, so the storage of every class
+/// together never exceeds the DiaMatrix of the same matrix.
+class DiaSegments {
+ public:
+  DiaSegments() = default;
+
+  /// Rows [row_begin, row_end) of `a`, row i contributing its CSR entries
+  /// [seg_begin[i], seg_end[i]); both arrays are indexed by global row id
+  /// (pass row_ptr().data() / the RowSplits arrays directly).
+  [[nodiscard]] static DiaSegments build(const CsrMatrix& a,
+                                         const index_t* seg_begin,
+                                         const index_t* seg_end,
+                                         index_t row_begin, index_t row_end);
+
+  [[nodiscard]] index_t row_begin() const { return row_begin_; }
+  [[nodiscard]] index_t rows() const { return rows_; }
+  [[nodiscard]] index_t num_diagonals() const {
+    return static_cast<index_t>(offsets_.size());
+  }
+  /// Diagonal d couples local row i to global column row_begin() + i +
+  /// offset(d); its values cover local rows [lo(d), hi(d)), value(d, i) at
+  /// values(d)[i - lo(d)].  Offsets ascend.
+  [[nodiscard]] index_t offset(index_t d) const { return offsets_[d]; }
+  [[nodiscard]] index_t lo(index_t d) const { return lo_[d]; }
+  [[nodiscard]] index_t hi(index_t d) const { return hi_[d]; }
+  [[nodiscard]] const double* values(index_t d) const {
+    return val_.data() + ptr_[d];
+  }
+  /// Stored doubles, holes included.
+  [[nodiscard]] std::size_t stored_values() const { return val_.size(); }
+
+  /// out[row_begin() + i] = -(sum over the diagonals of value(d, i) *
+  /// x[row_begin() + i + offset(d)]) for local rows i in [local_begin,
+  /// local_end): zeroed, then one subtract triad per diagonal in offset
+  /// order.  Each row's result depends only on that fixed order, so any
+  /// split of the rows gives the same bits.
+  void neg_sums(const double* x, double* out, index_t local_begin,
+                index_t local_end) const;
+
+ private:
+  index_t row_begin_ = 0;
+  index_t rows_ = 0;
+  std::vector<index_t> offsets_;
+  std::vector<index_t> lo_;
+  std::vector<index_t> hi_;
+  std::vector<std::size_t> ptr_;  // value offset per diagonal, +1 sentinel
+  std::vector<double> val_;
+};
+
 }  // namespace mstep::la

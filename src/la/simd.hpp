@@ -141,11 +141,13 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
 
 /// Negated-sum form for the multicolor sweeps: out[perm[slot]] = -(the slot
 /// row's 8-lane sum) — bitwise `-row_dot(...)` over the stored segment,
-/// since negating the finished sum commutes with round-to-nearest.  The
-/// sweeps store each colour class's strictly-lower / strictly-upper row
-/// segments as SELL slices (la::SellSegments) and scatter the sums through
-/// this kernel, vectorizing ACROSS the rows of a class — legal exactly
-/// because the multicolor ordering makes those rows independent.
+/// since negating the finished sum commutes with round-to-nearest.  Under
+/// CSR and SELL operators the sweeps store each colour class's strictly-
+/// lower / strictly-upper row segments as SELL slices (la::SellSegments)
+/// and scatter the sums through this kernel, vectorizing ACROSS the rows
+/// of a class — legal exactly because the multicolor ordering makes those
+/// rows independent.  (Under a DIA operator they use per-class diagonals
+/// and dia_triad instead; see la/class_segments.hpp.)
 void sell_neg_slices(const SellView& s, const double* x, double* out,
                      index_t slice_begin, index_t slice_end);
 

@@ -3,35 +3,22 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "la/simd.hpp"
-
 namespace mstep::par {
 
 ParallelMulticolorMStepSsor::ParallelMulticolorMStepSsor(
     const color::ColoredSystem& cs, std::vector<double> alphas,
     ThreadPool& pool, core::KernelLog* log)
-    : cs_(&cs), alphas_(std::move(alphas)), pool_(&pool), log_(log),
-      splits_(color::compute_row_splits(cs)),
-      census_(color::compute_class_diagonal_census(cs, splits_)) {
+    : ParallelMulticolorMStepSsor(
+          core::SweepPlan::build(cs, la::SegmentLayout::kSell),
+          std::move(alphas), pool, log) {}
+
+ParallelMulticolorMStepSsor::ParallelMulticolorMStepSsor(
+    std::shared_ptr<const core::SweepPlan> plan, std::vector<double> alphas,
+    ThreadPool& pool, core::KernelLog* log)
+    : plan_(std::move(plan)), cs_(&plan_->system()),
+      alphas_(std::move(alphas)), pool_(&pool), log_(log) {
   if (alphas_.empty()) {
     throw std::invalid_argument("ParallelMulticolorMStepSsor: need m >= 1");
-  }
-  // The same per-class SELL segment slices as the serial sweep — the
-  // kernel is identical, only the slice range is partitioned by the pool.
-  const auto& rp = cs.matrix.row_ptr();
-  const int nc = cs.num_classes();
-  lower_.reserve(nc);
-  upper_.reserve(nc);
-  for (int c = 0; c < nc; ++c) {
-    lower_.push_back(la::SellSegments::build(cs.matrix, rp.data(),
-                                             splits_.lo_end.data(),
-                                             cs.class_start[c],
-                                             cs.class_start[c + 1]));
-    upper_.push_back(la::SellSegments::build(cs.matrix,
-                                             splits_.up_begin.data(),
-                                             rp.data() + 1,
-                                             cs.class_start[c],
-                                             cs.class_start[c + 1]));
   }
 }
 
@@ -47,15 +34,19 @@ void ParallelMulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
   Vec& y = y_;
   Vec& xl = xl_;
 
-  // One class phase = sum the class's SELL segment slices into scratch
-  // (slices partitioned over the pool; every slot writes a distinct row),
+  const core::SweepPlan& plan = *plan_;
+  const Vec& diag = plan.splits().diag;
+  const color::ClassDiagonalCensus& census = plan.census();
+
+  // One class phase = sum the class's segment parts into scratch (parts
+  // partitioned over the pool; every row is written by exactly one part),
   // barrier, then the elementwise solve/save updates (rows partitioned).
   // Both steps are race-free and order-independent, so the threaded sweep
   // is bitwise the serial one.
-  auto class_sums = [&](const la::SellSegments& segs, const Vec& zin,
+  auto class_sums = [&](const la::ClassSegments& segs, const Vec& zin,
                         Vec& out) {
-    pool_->for_range(0, segs.num_slices(), [&](index_t b, index_t e) {
-      la::simd::sell_neg_slices(segs.view(), zin.data(), out.data(), b, e);
+    pool_->for_range(0, segs.num_parts(), [&](index_t b, index_t e) {
+      segs.neg_sums(zin.data(), out.data(), b, e);
     });
   };
 
@@ -64,7 +55,7 @@ void ParallelMulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
   auto log_class = [&](int c, bool lower) {
     if (!log_) return;
     const index_t len = cs_->class_size(c);
-    log_->spmv_diagonals(len, lower ? census_.lower[c] : census_.upper[c]);
+    log_->spmv_diagonals(len, lower ? census.lower[c] : census.upper[c]);
     log_->vec_op(len, 3);  // x + y + alpha*r fused adds
     log_->diag_op(len);    // divide by D_c
   };
@@ -73,40 +64,40 @@ void ParallelMulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
     const double a = alphas_[m - s];
     for (int c = 0; c < nc; ++c) {
       const bool last = c == nc - 1;
-      class_sums(lower_[c], z, xl);
+      class_sums(plan.lower(c), z, xl);
       pool_->for_range(
           cs_->class_start[c], cs_->class_start[c + 1],
           [&, a, last](index_t b, index_t e) {
             for (index_t i = b; i < e; ++i) {
-              z[i] = (xl[i] + y[i] + a * r[i]) / splits_.diag[i];
+              z[i] = (xl[i] + y[i] + a * r[i]) / diag[i];
               y[i] = last ? 0.0 : xl[i];
             }
           });
       log_class(c, /*lower=*/true);
     }
     for (int c = nc - 2; c >= 1; --c) {
-      class_sums(upper_[c], z, xl);
+      class_sums(plan.upper(c), z, xl);
       pool_->for_range(
           cs_->class_start[c], cs_->class_start[c + 1],
           [&, a](index_t b, index_t e) {
             for (index_t i = b; i < e; ++i) {
-              z[i] = (xl[i] + y[i] + a * r[i]) / splits_.diag[i];
+              z[i] = (xl[i] + y[i] + a * r[i]) / diag[i];
               y[i] = xl[i];
             }
           });
       log_class(c, /*lower=*/false);
     }
     // Class 0's upper sums scatter straight into y (the save phase).
-    class_sums(upper_[0], z, y);
+    class_sums(plan.upper(0), z, y);
     if (log_) {
-      log_->spmv_diagonals(cs_->class_size(0), census_.upper[0]);
+      log_->spmv_diagonals(cs_->class_size(0), census.upper[0]);
       log_->end_precond_step();
     }
   }
   pool_->for_range(cs_->class_start[0], cs_->class_start[1],
                    [&](index_t b, index_t e) {
                      for (index_t i = b; i < e; ++i) {
-                       z[i] = (y[i] + alphas_[0] * r[i]) / splits_.diag[i];
+                       z[i] = (y[i] + alphas_[0] * r[i]) / diag[i];
                      }
                    });
   if (log_) {

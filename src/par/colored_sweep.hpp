@@ -9,23 +9,29 @@
 // with real threads.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "color/coloring.hpp"
 #include "core/kernel_log.hpp"
+#include "core/multicolor_mstep.hpp"
 #include "core/preconditioner.hpp"
-#include "la/sell_matrix.hpp"
 #include "par/thread_pool.hpp"
 
 namespace mstep::par {
 
 class ParallelMulticolorMStepSsor : public core::Preconditioner {
  public:
+  /// Builds its own plan in the SELL layout (the default CSR format's).
   /// `cs` and `pool` must outlive the preconditioner.  `log` (optional)
   /// receives exactly the kernel stream of the serial sweep, emitted from
   /// the calling thread, so instrumented reports are identical whether the
   /// sweep is threaded or not.
   ParallelMulticolorMStepSsor(const color::ColoredSystem& cs,
+                              std::vector<double> alphas, ThreadPool& pool,
+                              core::KernelLog* log = nullptr);
+  /// Sweeps over a shared plan (whose system must remain alive).
+  ParallelMulticolorMStepSsor(std::shared_ptr<const core::SweepPlan> plan,
                               std::vector<double> alphas, ThreadPool& pool,
                               core::KernelLog* log = nullptr);
 
@@ -37,17 +43,13 @@ class ParallelMulticolorMStepSsor : public core::Preconditioner {
   [[nodiscard]] std::string name() const override;
 
  private:
+  // The serial sweep's plan: the pool partitions the PARTS of a class's
+  // segments, then the elementwise updates, each race-free.
+  std::shared_ptr<const core::SweepPlan> plan_;
   const color::ColoredSystem* cs_;
   std::vector<double> alphas_;
   ThreadPool* pool_;
   core::KernelLog* log_;
-  color::RowSplits splits_;
-  color::ClassDiagonalCensus census_;
-  // Per class: lower/upper row segments in SELL slices (see the serial
-  // sweep) — the pool partitions the SLICES of a class, then the
-  // elementwise updates, each race-free.
-  std::vector<la::SellSegments> lower_;
-  std::vector<la::SellSegments> upper_;
   mutable Vec y_;
   mutable Vec xl_;  // scratch: the current class's scattered sums
 };

@@ -39,36 +39,42 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
+    const std::function<void(index_t, index_t)>* body = nullptr;
+    index_t end = 0;
+    index_t chunk = 1;
     {
+      // Check in: the job is read under the lock, so it is the job of
+      // exactly this generation.
       std::unique_lock<std::mutex> lk(mutex_);
       start_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
-      active_workers_.fetch_add(1, std::memory_order_relaxed);
+      body = body_;
+      end = end_;
+      chunk = chunk_;
     }
-    work_on_current_job();
-    if (active_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last worker out wakes the caller.
-      std::lock_guard<std::mutex> lk(mutex_);
-      done_cv_.notify_all();
-    }
+    run_chunks(*body, end, chunk);
+    // Check out.  The caller returns (and its body goes out of scope) only
+    // after the last worker has checked out.
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (--pending_ == 0) done_cv_.notify_all();
   }
 }
 
-void ThreadPool::work_on_current_job() {
-  const auto* body = body_.load(std::memory_order_acquire);
+void ThreadPool::run_chunks(const std::function<void(index_t, index_t)>& body,
+                            index_t end, index_t chunk) {
   for (;;) {
-    const index_t b = next_.fetch_add(chunk_, std::memory_order_relaxed);
-    if (b >= end_) return;
+    const index_t b = next_.fetch_add(chunk, std::memory_order_relaxed);
+    if (b >= end) return;
     try {
-      (*body)(b, std::min(end_, b + chunk_));
+      body(b, std::min(end, b + chunk));
     } catch (...) {
       {
         std::lock_guard<std::mutex> lk(mutex_);
         if (!error_) error_ = std::current_exception();
       }
       // Park the cursor at the end so every thread stops taking chunks.
-      next_.store(end_, std::memory_order_relaxed);
+      next_.store(end, std::memory_order_relaxed);
       return;
     }
   }
@@ -81,22 +87,24 @@ void ThreadPool::for_range(index_t begin, index_t end,
     body(begin, end);
     return;
   }
+  const index_t chunk = std::max<index_t>(
+      1, (end - begin) / (4 * static_cast<index_t>(threads())));
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    body_.store(&body, std::memory_order_release);
+    body_ = &body;
     end_ = end;
-    chunk_ = std::max<index_t>(
-        1, (end - begin) / (4 * static_cast<index_t>(threads())));
+    chunk_ = chunk;
     next_.store(begin, std::memory_order_relaxed);
+    pending_ = static_cast<int>(workers_.size());
     ++generation_;
   }
   start_cv_.notify_all();
-  work_on_current_job();  // the caller participates
+  run_chunks(body, end, chunk);  // the caller participates
   std::unique_lock<std::mutex> lk(mutex_);
-  done_cv_.wait(lk, [&] {
-    return next_.load(std::memory_order_relaxed) >= end_ &&
-           active_workers_.load(std::memory_order_acquire) == 0;
-  });
+  // Every worker checks in and out of every job, even one whose chunks
+  // the caller already took; only then may the next job be posted.
+  done_cv_.wait(lk, [&] { return pending_ == 0; });
+  body_ = nullptr;
   if (error_) {
     std::exception_ptr e;
     std::swap(e, error_);

@@ -52,7 +52,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  void work_on_current_job();
+  void run_chunks(const std::function<void(index_t, index_t)>& body,
+                  index_t end, index_t chunk);
 
   std::vector<std::thread> workers_;
 
@@ -63,11 +64,16 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   std::exception_ptr error_;  // first exception thrown by a body
 
-  std::atomic<const std::function<void(index_t, index_t)>*> body_{nullptr};
-  std::atomic<index_t> next_{0};
+  // The current job.  body_, end_ and chunk_ are written by for_range and
+  // read by workers only under mutex_, at check-in; next_ is the shared
+  // chunk cursor.  for_range posts the next job only after every worker
+  // has checked out of this one (pending_ == 0), so no worker can run a
+  // stale body on a later job's range.
+  const std::function<void(index_t, index_t)>* body_ = nullptr;
   index_t end_ = 0;
   index_t chunk_ = 1;
-  std::atomic<int> active_workers_{0};
+  std::atomic<index_t> next_{0};
+  int pending_ = 0;  // workers not yet checked out of generation_
 };
 
 }  // namespace mstep::par

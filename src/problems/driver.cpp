@@ -117,6 +117,7 @@ DriverResult run_resolved(const Problem& problem,
                             : solver.prepare(problem.matrix);
   r.setup_seconds = setup_timer.seconds();
   r.format_selected = solver::to_string(prepared.resolved_format());
+  r.sweep_format = prepared.sweep_format();
 
   r.batch = prepared.solveMany(bs);
   // What actually ran, not what was asked: solveMany reports shards = 0
@@ -186,6 +187,7 @@ util::Json report_json(const DriverResult& r) {
       .set("dia_friendly", r.dia_friendly)
       .set("used_classes", r.used_classes)
       .set("format_selected", r.format_selected)
+      .set("sweep_format", r.sweep_format)
       .set("shards", r.shards)
       .set("config", r.config.to_string())
       .set("nrhs", static_cast<long long>(r.batch.size()))

@@ -48,6 +48,10 @@ struct DriverResult {
   /// "sell") — `--format=auto` resolved through the bandedness/occupancy
   /// probes at prepare time; equal to the requested format otherwise.
   std::string format_selected = "csr";
+  /// The layout the multicolour sweep's coupling segments ran on ("sell"
+  /// | "dia"), or "none" when no multicolour sweep ran; "dia" exactly when
+  /// a sweep ran on a DIA operator.
+  std::string sweep_format = "none";
   /// Effective shard count of the region-sharded backend on the solves
   /// that ran (requested `shards` after the widest-color-block clamp), or
   /// 0 when the run was not sharded.

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "la/simd.hpp"
 #include "obs/trace.hpp"
 
 namespace mstep::shard {
@@ -21,7 +20,7 @@ struct ShardedMulticolorMStepSsor::Phase {
 ShardedMulticolorMStepSsor::ShardedMulticolorMStepSsor(
     const color::ColoredSystem& cs, std::vector<double> alphas,
     const ShardPlan& plan, par::ThreadPool& pool, core::KernelLog* log,
-    bool verify_halo)
+    bool verify_halo, la::SegmentLayout layout)
     : cs_(&cs), alphas_(std::move(alphas)), pool_(&pool), log_(log),
       verify_halo_(verify_halo), splits_(color::compute_row_splits(cs)),
       census_(color::compute_class_diagonal_census(cs, splits_)),
@@ -33,20 +32,20 @@ ShardedMulticolorMStepSsor::ShardedMulticolorMStepSsor(
   const int ns = plan_.num_shards();
   const auto& rp = cs.matrix.row_ptr();
 
-  // The serial sweep's per-class SELL segments, restricted to each
-  // shard's strip: sell_neg_slices is bitwise -row_dot per row however
-  // the rows are sliced, so a strip's sums equal the whole-class sums.
+  // The serial sweep's per-class segments, restricted to each shard's
+  // strip: neg_sums gives each row the same bits however the rows are
+  // split, so a strip's sums equal the whole-class sums.
   lower_.resize(ns);
   upper_.resize(ns);
   for (int s = 0; s < ns; ++s) {
     lower_[s].reserve(nc);
     upper_[s].reserve(nc);
     for (int c = 0; c < nc; ++c) {
-      lower_[s].push_back(la::SellSegments::build(
-          cs.matrix, rp.data(), splits_.lo_end.data(), plan_.begin(s, c),
-          plan_.end(s, c)));
-      upper_[s].push_back(la::SellSegments::build(
-          cs.matrix, splits_.up_begin.data(), rp.data() + 1,
+      lower_[s].push_back(la::ClassSegments::build(
+          layout, cs.matrix, rp.data(), splits_.lo_end.data(),
+          plan_.begin(s, c), plan_.end(s, c)));
+      upper_[s].push_back(la::ClassSegments::build(
+          layout, cs.matrix, splits_.up_begin.data(), rp.data() + 1,
           plan_.begin(s, c), plan_.end(s, c)));
     }
   }
@@ -94,9 +93,8 @@ void ShardedMulticolorMStepSsor::run_phase(const Phase& phase, const Vec& r,
 
     if (phase.kind == Phase::kSave) {
       // Class 0's upper sums scatter straight into y (the save phase).
-      const la::SellSegments& segs = upper_[sh][0];
-      la::simd::sell_neg_slices(segs.view(), zl.data(), y_.data(), 0,
-                                segs.num_slices());
+      const la::ClassSegments& segs = upper_[sh][0];
+      segs.neg_sums(zl.data(), y_.data(), 0, segs.num_parts());
       return;
     }
     if (phase.kind == Phase::kFinal) {
@@ -108,10 +106,9 @@ void ShardedMulticolorMStepSsor::run_phase(const Phase& phase, const Vec& r,
     if (row_begin == row_end && halo_.boundary_rows(sh, c).empty()) return;
 
     // (2) Segment sums from the local replica.
-    const la::SellSegments& segs =
+    const la::ClassSegments& segs =
         (phase.kind == Phase::kForward ? lower_ : upper_)[sh][c];
-    la::simd::sell_neg_slices(segs.view(), zl.data(), xl_.data(), 0,
-                              segs.num_slices());
+    segs.neg_sums(zl.data(), xl_.data(), 0, segs.num_parts());
 
     const bool last = phase.kind == Phase::kForward && c == nc - 1;
     const auto update_row = [&](index_t i) {

@@ -19,11 +19,11 @@
 // equivalence tests/test_shard.cpp asserts.
 //
 // Determinism: every per-row kernel is the serial sweep's kernel
-// (la::simd::sell_neg_slices is bitwise -row_dot per row regardless of
-// slicing), every row is written by exactly one shard, and phase order is
-// the serial class order — so the sharded apply is bitwise identical to
-// core::MulticolorMStepSsor::apply for any shard count, and emits the
-// identical KernelLog stream.
+// (la::ClassSegments::neg_sums gives each row the same bits however the
+// rows are split), every row is written by exactly one shard, and phase
+// order is the serial class order — so the sharded apply is bitwise
+// identical to core::MulticolorMStepSsor::apply in the same segment
+// layout for any shard count, and emits the identical KernelLog stream.
 #pragma once
 
 #include <memory>
@@ -33,7 +33,7 @@
 #include "color/coloring.hpp"
 #include "core/kernel_log.hpp"
 #include "core/preconditioner.hpp"
-#include "la/sell_matrix.hpp"
+#include "la/class_segments.hpp"
 #include "par/thread_pool.hpp"
 #include "shard/halo.hpp"
 #include "shard/partition.hpp"
@@ -50,12 +50,13 @@ class ShardedMulticolorMStepSsor final : public core::Preconditioner {
 #endif
 
   /// `verify_halo` turns on the per-take checksum check (tests force it
-  /// on to exercise the corruption path).
-  ShardedMulticolorMStepSsor(const color::ColoredSystem& cs,
-                             std::vector<double> alphas,
-                             const ShardPlan& plan, par::ThreadPool& pool,
-                             core::KernelLog* log = nullptr,
-                             bool verify_halo = kVerifyHaloDefault);
+  /// on to exercise the corruption path).  `layout` is the segment layout
+  /// of the serial sweep this one must match bitwise.
+  ShardedMulticolorMStepSsor(
+      const color::ColoredSystem& cs, std::vector<double> alphas,
+      const ShardPlan& plan, par::ThreadPool& pool,
+      core::KernelLog* log = nullptr, bool verify_halo = kVerifyHaloDefault,
+      la::SegmentLayout layout = la::SegmentLayout::kSell);
 
   [[nodiscard]] index_t size() const override { return cs_->size(); }
   void apply(const Vec& r, Vec& z) const override;
@@ -82,9 +83,9 @@ class ShardedMulticolorMStepSsor final : public core::Preconditioner {
   HaloPlan halo_;
 
   // Per shard, per class: the strip's strictly-lower / strictly-upper
-  // SELL segments (the serial kernels, restricted to owned rows).
-  std::vector<std::vector<la::SellSegments>> lower_;  // [shard][class]
-  std::vector<std::vector<la::SellSegments>> upper_;
+  // segments (the serial kernels, restricted to owned rows).
+  std::vector<std::vector<la::ClassSegments>> lower_;  // [shard][class]
+  std::vector<std::vector<la::ClassSegments>> upper_;
 
   // Mailboxes and scratch are mutable: apply() is logically const but
   // stages per-phase state through them (same pattern as the serial

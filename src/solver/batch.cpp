@@ -12,9 +12,12 @@
 // (mutable sweep scratch must not be shared across lanes, and nested pool
 // dispatch from inside a pool job is not supported) plus a PcgWorkspace
 // and reorder buffers — built once before the loop, so nothing allocates
-// inside the batch loop beyond each report's solution vector.  Because the
-// lanes run the serial kernel path, every per-RHS result is BITWISE
-// identical to the corresponding serial Prepared::solve.
+// inside the batch loop beyond each report's solution vector.  On the
+// Algorithm-2 path a lane's preconditioner is only its y / scratch
+// vectors over the pipeline's shared sweep plan: no lane rebuilds row
+// splits, census or segments.  Because the lanes run the serial kernel
+// path, every per-RHS result is BITWISE identical to the corresponding
+// serial Prepared::solve.
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
@@ -121,8 +124,9 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
 
   // Build one scratch arena per lane through the same selection policy as
   // prepare(), with exec = nullptr for the serial twin (see the file
-  // comment).  The expensive setup — coloring, interval, alphas — is NOT
-  // redone: lanes share cs_/matrix_/op_/alphas_ read-only.
+  // comment).  The expensive setup — coloring, interval, alphas, the
+  // sweep plan — is NOT redone: lanes share cs_/matrix_/op_/alphas_/sweep_
+  // read-only.
   // The kernel census rides the same KernelLog stream the Section-4 cost
   // model uses — one instrumentation pass.  The log pointer is non-null
   // only when tracing is on when the batch starts, so untraced batches
@@ -133,7 +137,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
     if (tracing) lane.trace_log = std::make_unique<obs::TracingKernelLog>();
     lane.engine = detail::make_preconditioner(config_, cs_.get(), *matrix_,
                                               alphas_, lane.trace_log.get(),
-                                              nullptr);
+                                              nullptr, sweep_);
   }
 
   const index_t n = matrix_->rows();
@@ -180,6 +184,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
         report.preconditioner_name = precond.name();
         report.steps = config_.steps;
         report.format_selected = resolved_format_;
+        report.sweep_format = sweep_format();
         report.shards = sharded ? shards_ : 0;
         br.reports[i] = std::move(report);  // distinct slot per RHS: no race
       } catch (...) {

@@ -38,12 +38,33 @@ double ssor_omega(const SolverConfig& config) {
 
 namespace detail {
 
-PrecondChoice make_preconditioner(const SolverConfig& config,
-                                  const color::ColoredSystem* cs,
-                                  const la::CsrMatrix& matrix,
-                                  const std::vector<double>& alphas,
-                                  core::KernelLog* log,
-                                  const par::Execution* exec) {
+MatrixFormat resolve_format(MatrixFormat requested,
+                            const la::CsrMatrix& matrix) {
+  if (requested != MatrixFormat::kAuto) return requested;
+  // Banded-first: the diagonal layout beats the sliced one when the
+  // matrix is banded enough to fill it, and SELL catches the
+  // irregular-but-dense-rows middle ground before the CSR fallback.
+  if (la::DiaMatrix::profitable(matrix)) return MatrixFormat::kDia;
+  if (la::SellMatrix::profitable(matrix)) return MatrixFormat::kSell;
+  return MatrixFormat::kCsr;
+}
+
+la::SegmentLayout sweep_layout(MatrixFormat resolved) {
+  return resolved == MatrixFormat::kDia ? la::SegmentLayout::kDia
+                                        : la::SegmentLayout::kSell;
+}
+
+bool uses_multicolor_sweep(const SolverConfig& config,
+                           const color::ColoredSystem* cs) {
+  return cs && config.steps > 0 && config.splitting == "ssor" &&
+         ssor_omega(config) == 1.0;
+}
+
+PrecondChoice make_preconditioner(
+    const SolverConfig& config, const color::ColoredSystem* cs,
+    const la::CsrMatrix& matrix, const std::vector<double>& alphas,
+    core::KernelLog* log, const par::Execution* exec,
+    std::shared_ptr<const core::SweepPlan> sweep) {
   PrecondChoice choice;
   if (config.steps <= 0) {
     choice.precond =
@@ -56,13 +77,17 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
   // thread pool — bitwise the serial result (the decoupling property).
   // Tiny systems keep the serial sweep: per-class pool dispatch costs
   // more than it saves there (same threshold as the Execution kernels).
-  if (cs && config.splitting == "ssor" && ssor_omega(config) == 1.0) {
+  if (uses_multicolor_sweep(config, cs)) {
+    if (!sweep) {
+      sweep = core::SweepPlan::build(
+          *cs, sweep_layout(resolve_format(config.format, matrix)));
+    }
     if (exec && exec->parallel() && matrix.rows() >= par::kSerialCutoff) {
       choice.precond = std::make_unique<par::ParallelMulticolorMStepSsor>(
-          *cs, alphas, *exec->pool(), log);
+          std::move(sweep), alphas, *exec->pool(), log);
     } else {
-      choice.precond =
-          std::make_unique<core::MulticolorMStepSsor>(*cs, alphas, log);
+      choice.precond = std::make_unique<core::MulticolorMStepSsor>(
+          std::move(sweep), alphas, log);
     }
     return choice;
   }
@@ -145,7 +170,29 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
     }
   }
 
-  // 2. Parameters and preconditioner (splitting via the registries).
+  // 2. Operator view for the outer CG products.  `auto` is resolved HERE,
+  // on the matrix PCG actually iterates on (the colour-permuted one when
+  // multicolour) — a matrix that is banded in the caller's ordering can
+  // scatter its diagonals under the permutation and vice versa, so the
+  // probe must see the operator matrix, not the input.  It runs before
+  // the preconditioner is built: the sweep's segment layout follows it.
+  {
+    const obs::Span probe_span("format_probe");
+    p.resolved_format_ = detail::resolve_format(config_.format, *p.matrix_);
+    if (p.resolved_format_ == MatrixFormat::kDia) {
+      p.dia_ = std::make_unique<la::DiaMatrix>(
+          la::DiaMatrix::from_csr(*p.matrix_));
+      p.op_ = std::make_unique<la::DiaOperator>(*p.dia_);
+    } else if (p.resolved_format_ == MatrixFormat::kSell) {
+      p.sell_ = std::make_unique<la::SellMatrix>(
+          la::SellMatrix::from_csr(*p.matrix_));
+      p.op_ = std::make_unique<la::SellOperator>(*p.sell_);
+    } else {
+      p.op_ = std::make_unique<la::CsrOperator>(*p.matrix_);
+    }
+  }
+
+  // 3. Parameters and preconditioner (splitting via the registries).
   {
     const obs::Span params_span("params");
     if (config_.steps > 0) {
@@ -157,46 +204,22 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
       p.alphas_ = ParamStrategyRegistry::instance().alphas(
           config_.params, config_.steps, p.interval_);
     }
+    // The sweep's plan (row splits, census, segments in the operator's
+    // layout) is built once here and shared read-only by the solve path,
+    // every batch lane and every daemon cache hit.
+    if (detail::uses_multicolor_sweep(config_, p.cs_.get())) {
+      p.sweep_ = core::SweepPlan::build(
+          *p.cs_, detail::sweep_layout(p.resolved_format_));
+    }
     // kernel_exec() gates on threads >= 2: a pool that exists only for
     // batch lanes leaves the single-solve path serial.  The factory is
     // shared with the batch lanes, so a lane's operator is by construction
     // the solve path's (m = 0 yields the identity).
-    auto choice = detail::make_preconditioner(
-        config_, p.cs_.get(), *p.matrix_, p.alphas_, log, p.kernel_exec());
+    auto choice = detail::make_preconditioner(config_, p.cs_.get(),
+                                              *p.matrix_, p.alphas_, log,
+                                              p.kernel_exec(), p.sweep_);
     p.splitting_ = std::move(choice.splitting);
     p.precond_ = std::move(choice.precond);
-  }
-
-  // 3. Operator view for the outer CG products.  `auto` is resolved HERE,
-  // on the matrix PCG actually iterates on (the colour-permuted one when
-  // multicolour) — a matrix that is banded in the caller's ordering can
-  // scatter its diagonals under the permutation and vice versa, so the
-  // probe must see the operator matrix, not the input.
-  // The registry probe order is banded-first: the diagonal layout beats
-  // the sliced one when the matrix is banded enough to fill it, and SELL
-  // catches the irregular-but-dense-rows middle ground before the CSR
-  // fallback.
-  const obs::Span probe_span("format_probe");
-  p.resolved_format_ = config_.format;
-  if (p.resolved_format_ == MatrixFormat::kAuto) {
-    if (la::DiaMatrix::profitable(*p.matrix_)) {
-      p.resolved_format_ = MatrixFormat::kDia;
-    } else if (la::SellMatrix::profitable(*p.matrix_)) {
-      p.resolved_format_ = MatrixFormat::kSell;
-    } else {
-      p.resolved_format_ = MatrixFormat::kCsr;
-    }
-  }
-  if (p.resolved_format_ == MatrixFormat::kDia) {
-    p.dia_ =
-        std::make_unique<la::DiaMatrix>(la::DiaMatrix::from_csr(*p.matrix_));
-    p.op_ = std::make_unique<la::DiaOperator>(*p.dia_);
-  } else if (p.resolved_format_ == MatrixFormat::kSell) {
-    p.sell_ =
-        std::make_unique<la::SellMatrix>(la::SellMatrix::from_csr(*p.matrix_));
-    p.op_ = std::make_unique<la::SellOperator>(*p.sell_);
-  } else {
-    p.op_ = std::make_unique<la::CsrOperator>(*p.matrix_);
   }
 
   // 4. Region-sharded backend: cut every color block into contiguous
@@ -222,10 +245,11 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
         p.shard_op_ = std::make_unique<shard::ShardedOperator>(
             *p.matrix_, *plan, *exec_->pool());
       }
-      if (config_.steps > 0 && config_.splitting == "ssor" &&
-          ssor_omega(config_) == 1.0) {
+      if (p.sweep_) {
         p.shard_precond_ = std::make_unique<shard::ShardedMulticolorMStepSsor>(
-            *p.cs_, p.alphas_, *plan, *exec_->pool(), log);
+            *p.cs_, p.alphas_, *plan, *exec_->pool(), log,
+            shard::ShardedMulticolorMStepSsor::kVerifyHaloDefault,
+            p.sweep_->layout());
       }
       p.shard_plan_ = std::move(plan);
     }
@@ -283,6 +307,7 @@ SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
   report.preconditioner_name = precond.name();
   report.steps = config_.steps;
   report.format_selected = resolved_format_;
+  report.sweep_format = sweep_format();
   report.shards = shards_;
   return report;
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "color/coloring.hpp"
+#include "core/multicolor_mstep.hpp"
 #include "core/pcg.hpp"
 #include "core/planner.hpp"
 #include "core/preconditioner.hpp"
@@ -55,6 +56,11 @@ struct SolveReport {
   /// la::DiaMatrix / la::SellMatrix profitability probes on the iteration
   /// matrix).
   MatrixFormat format_selected = MatrixFormat::kCsr;
+  /// The layout the multicolour sweep's coupling segments ran on: "dia"
+  /// when the operator is DIA, "sell" when it is CSR or SELL, and "none"
+  /// when no multicolour sweep ran (natural ordering, a generic
+  /// splitting, or m = 0).
+  std::string sweep_format = "none";
   /// Effective shard count of the region-sharded backend this solve ran
   /// on: the configured `shards` after the widest-color-block clamp, or 0
   /// when the solve was not sharded (shards in {0, 1}, no multicolour
@@ -73,6 +79,16 @@ struct SolveReport {
 
 namespace detail {
 
+/// The config's format with kAuto resolved on `matrix` (the matrix the
+/// outer products iterate on): kDia when the diagonal probe pays off, else
+/// kSell when the sliced-ELL occupancy probe does, else kCsr.
+[[nodiscard]] MatrixFormat resolve_format(MatrixFormat requested,
+                                          const la::CsrMatrix& matrix);
+
+/// The sweep-segment layout that goes with a resolved operator format:
+/// DIA segments under a DIA operator, SELL segments otherwise.
+[[nodiscard]] la::SegmentLayout sweep_layout(MatrixFormat resolved);
+
 /// The one preconditioner-selection policy, shared by Solver::prepare (the
 /// solve path, which may thread through `exec`) and the batch engine's
 /// worker lanes (which pass exec = nullptr for the serial twin): the
@@ -85,10 +101,18 @@ struct PrecondChoice {
   std::unique_ptr<core::Preconditioner> precond;
 };
 
+/// True when `config` on a multicolour system takes the Algorithm-2 sweep.
+[[nodiscard]] bool uses_multicolor_sweep(const SolverConfig& config,
+                                         const color::ColoredSystem* cs);
+
+/// `sweep` is the shared plan the Algorithm-2 sweep runs over; when null,
+/// the sweep builds one in the layout resolve_format(config.format,
+/// matrix) selects — exactly the layout prepare() picks.
 [[nodiscard]] PrecondChoice make_preconditioner(
     const SolverConfig& config, const color::ColoredSystem* cs,
     const la::CsrMatrix& matrix, const std::vector<double>& alphas,
-    core::KernelLog* log, const par::Execution* exec);
+    core::KernelLog* log, const par::Execution* exec,
+    std::shared_ptr<const core::SweepPlan> sweep = nullptr);
 
 }  // namespace detail
 
@@ -215,6 +239,18 @@ class Prepared {
     return resolved_format_;
   }
 
+  /// The multicolour sweep's shared plan (row splits, census, segments),
+  /// or null when no multicolour sweep runs.  Built once in prepare();
+  /// solve(), every solveMany lane and every daemon cache hit read it.
+  [[nodiscard]] const std::shared_ptr<const core::SweepPlan>& sweep_plan()
+      const {
+    return sweep_;
+  }
+  /// SolveReport::sweep_format of every solve on this pipeline.
+  [[nodiscard]] const char* sweep_format() const {
+    return sweep_ ? la::to_string(sweep_->layout()) : "none";
+  }
+
   /// Effective shard count of the region-sharded backend (0 when not
   /// sharded); the requested `shards` clamped to the widest color block.
   [[nodiscard]] int shards() const { return shards_; }
@@ -245,6 +281,7 @@ class Prepared {
   std::unique_ptr<la::SellMatrix> sell_;      // set when format == sell
   std::unique_ptr<la::LinearOperator> op_;
   std::unique_ptr<split::Splitting> splitting_;
+  std::shared_ptr<const core::SweepPlan> sweep_;  // set on the sweep path
   std::unique_ptr<core::Preconditioner> precond_;
   // Region-sharded backend (src/shard), engaged when the config asks for
   // 2+ shards on a multicolour system: shard_op_ replaces op_ for the

@@ -156,6 +156,31 @@ TEST(ThreadPoolStress, ExceptionPropagatesAndPoolSurvives) {
   EXPECT_EQ(count.load(), 10000);
 }
 
+// Thousands of back-to-back tiny jobs, each with its own stack-allocated
+// body and hit counts.  A worker that registers for a job after the caller
+// has returned from it would run that job's dead body on the next job's
+// range; every job must instead see each of its indices exactly once.
+void run_handoff_stress(ThreadPool& pool, int jobs) {
+  for (int job = 0; job < jobs; ++job) {
+    const index_t len = 2 + job % 7;
+    std::vector<int> hits(static_cast<std::size_t>(len), 0);
+    pool.for_range(0, len, [&hits](index_t b, index_t e) {
+      for (index_t i = b; i < e; ++i) ++hits[static_cast<std::size_t>(i)];
+    });
+    for (index_t i = 0; i < len; ++i) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)], 1)
+          << "job " << job << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolStress, BackToBackTinyJobsNeverReuseAStaleBody) {
+  ThreadPool four(4);
+  run_handoff_stress(four, 5000);
+  ThreadPool oversubscribed(12);
+  run_handoff_stress(oversubscribed, 3000);
+}
+
 TEST(ThreadPoolStress, ExceptionPropagatesFromSerialFallback) {
   ThreadPool pool(1);
   EXPECT_THROW(pool.for_range(0, 10,
@@ -261,6 +286,25 @@ TEST(SolverThreads, DiaFormatMatchesSerialBitwise) {
   const auto threaded =
       solver::Solver::from_config(cfg).solve(p.k, p.f, p.classes);
   expect_bitwise_equal(serial, threaded, "dia threads=4");
+}
+
+// The Jacobi m = 1 solve makes many small pool dispatches per iteration;
+// a pool that hands a stale body to a late worker changes its iteration
+// count.  Repeated on a 4-thread pool, it must match serial every time.
+TEST(SolverThreads, JacobiStepOneMatchesSerialOnFourThreads) {
+  const Plate p = make_plate(36);
+  solver::SolverConfig cfg;
+  cfg.splitting = "jacobi";
+  cfg.steps = 1;
+  cfg.tolerance = 1e-8;
+  const auto serial =
+      solver::Solver::from_config(cfg).solve(p.k, p.f, p.classes);
+  cfg.execution.threads = 4;
+  const solver::Solver threaded = solver::Solver::from_config(cfg);
+  for (int rep = 0; rep < 5; ++rep) {
+    expect_bitwise_equal(serial, threaded.solve(p.k, p.f, p.classes),
+                         "jacobi m=1 threads=4 rep=" + std::to_string(rep));
+  }
 }
 
 TEST(SolverThreads, PlainCgMatchesSerialBitwise) {

@@ -2,10 +2,10 @@
 // and TCP), driven through serve::Client — cold-miss/warm-hit caching,
 // bitwise identity with a direct library solve, the inline-CSR and
 // fingerprint request flows, the error retcode surface, the metrics
-// document, deterministic busy shedding, and graceful shutdown by both
-// the protocol request and SIGTERM (drain, final metrics snapshot,
-// clean exit).  Process-local serve contracts live in
-// tests/test_serve_cache.cpp.
+// document, the shared sweep plan of a warm hit, deterministic busy
+// shedding, and graceful shutdown by both the protocol request and
+// SIGTERM (drain, final metrics snapshot, clean exit).  Process-local
+// serve contracts live in tests/test_serve_cache.cpp.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -17,6 +17,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "core/multicolor_mstep.hpp"
 #include "problems/problem.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -82,6 +83,36 @@ TEST(Served, ColdMissThenWarmHitOverUnixSocket) {
   EXPECT_EQ(warm.setup_seconds, 0.0);  // the hit pays no preparation
   ASSERT_EQ(warm.results.size(), cold.results.size());
   EXPECT_EQ(warm.results, cold.results);  // bitwise: same pipeline, same bits
+}
+
+TEST(Served, WarmHitReusesTheCachedSweepPlan) {
+  // A DIA pipeline: the miss builds the sweep plan once, a hit only
+  // solves on it — and the served bits stay the direct library's.
+  const std::string spec = "femplate:a=8";
+  const std::string config_text = "splitting=ssor;m=2;format=dia";
+  const std::string sock = sock_path("sweepplan");
+  ServedServer daemon(unix_options(sock));
+  Client client = Client::connect("unix:" + sock);
+
+  const SolveResponse cold = client.solve_catalog(spec, config_text);
+  ASSERT_EQ(cold.retcode, Retcode::kOk) << cold.message;
+  EXPECT_FALSE(cold.cache_hit);
+  const long long builds = core::SweepPlan::builds();
+  const SolveResponse warm = client.solve_catalog(spec, config_text);
+  ASSERT_EQ(warm.retcode, Retcode::kOk) << warm.message;
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(core::SweepPlan::builds(), builds);
+  EXPECT_EQ(warm.results, cold.results);
+
+  problems::Problem p = problems::ProblemRegistry::instance().create(spec);
+  const solver::Prepared prepared =
+      solver::Solver::from_string(config_text).prepare(p.matrix, p.classes);
+  EXPECT_STREQ(prepared.sweep_format(), "dia");
+  const std::vector<Vec> bs{p.rhs};
+  const solver::BatchReport want =
+      prepared.solveMany(util::Span<const Vec>(bs.data(), bs.size()));
+  ASSERT_EQ(warm.results.size(), 1u);
+  EXPECT_EQ(warm.results[0].solution, want.reports[0].solution);
 }
 
 TEST(Served, TcpEphemeralPortServes) {

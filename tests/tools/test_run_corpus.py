@@ -39,6 +39,7 @@ STUB_DRIVER = textwrap.dedent("""\
         "dia_friendly": True,
         "used_classes": False,
         "format_selected": "dia",
+        "sweep_format": "dia",
         "shards": 0,
         "config": "splitting=%s;m=%d;format=auto" % (splitting, m),
         "nrhs": 1,

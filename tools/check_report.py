@@ -51,6 +51,7 @@ REPORT_SCHEMA = {
     "dia_friendly": (bool,),
     "used_classes": (bool,),
     "format_selected": (str,),
+    "sweep_format": (str,),
     "shards": (int,),
     "config": (str,),
     "nrhs": (int,),
@@ -226,6 +227,22 @@ def check_report_extras(report, failures):
         failures.append(
             "config requested format=auto but the report does not say "
             "which format was selected")
+
+    # sweep_format records the multicolour sweep's segment layout: "dia"
+    # exactly when the operator is DIA, "sell" otherwise, and "none" only
+    # when no multicolour sweep ran (natural ordering, a generic
+    # splitting, m = 0).
+    sweep = report.get("sweep_format")
+    if isinstance(sweep, str):
+        if sweep not in ("sell", "dia", "none"):
+            failures.append(
+                f"sweep_format must be 'sell', 'dia', or 'none', got "
+                f"'{sweep}'")
+        elif sweep != "none" and (sweep == "dia") != (fmt == "dia"):
+            failures.append(
+                f"sweep_format is '{sweep}' but format_selected is "
+                f"'{fmt}': the sweep runs on DIA segments exactly when "
+                f"the operator is DIA")
 
 
 def check_metrics_extras(metrics, failures):

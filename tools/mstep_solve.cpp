@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
               << r.bandwidth << ", " << r.nonzero_diagonals
               << " nonzero diagonals" << (r.dia_friendly ? " (DIA-friendly)" : "")
               << "\nconfig: " << r.config.to_string()
-              << "\noperator format: " << r.format_selected << '\n';
+              << "\noperator format: " << r.format_selected
+              << "\nsweep format: " << r.sweep_format << '\n';
 
     util::Table t({"rhs", "iterations", "final |du|_inf", "status"});
     for (std::size_t i = 0; i < r.batch.size(); ++i) {
