@@ -67,7 +67,6 @@ struct Run {
   std::string workload;
   index_t n = 0;
   int threads = 0;  // 0 = serial baseline
-  int shards = 0;   // 0 = not sharded (region-sharded backend off)
   int iterations = 0;
   bool converged = false;
   bool bitwise_match_serial = true;
@@ -93,11 +92,6 @@ int run_thread_scaling(const util::Cli& cli) {
   const int repeats = cli.get_int("repeats", quick ? 1 : 3);
   const auto thread_counts = parse_count_list(
       "--threads", cli.get("threads", quick ? "1,2" : "1,2,4,8"));
-  // Region-sharded sweep rows (threads left serial so the sharded phase
-  // dispatch owns the pool); every sharded solve must stay bitwise the
-  // serial solve, which is the row's gate in BENCH_scaling.json.
-  const auto shard_counts =
-      parse_count_list("--shards", cli.get("shards", quick ? "2" : "2,4"));
   const std::string out_path = cli.get("out", "BENCH_scaling.json");
 
   const fem::PlateMesh mesh = fem::PlateMesh::unit_square(plate);
@@ -176,39 +170,6 @@ int run_thread_scaling(const util::Cli& cli) {
     }
     t.print(std::cout, w.name);
     std::cout << '\n';
-
-    util::Table st({"shards", "iterations", "wall (s)", "speedup",
-                    "bitwise = serial"});
-    for (const int shards : shard_counts) {
-      auto cfg = w.config;
-      cfg.execution.shards = shards;
-      const auto solver = solver::Solver::from_config(cfg);
-      const auto prepared = solver.prepare(sys.stiffness);
-      solver::SolveReport report;
-      const double wall = time_solve(prepared, sys.load, repeats, &report);
-
-      Run run;
-      run.workload = w.name;
-      run.n = mesh.num_equations();
-      run.threads = 0;
-      run.shards = shards;
-      run.iterations = report.iterations();
-      run.converged = report.converged();
-      run.wall_seconds = wall;
-      run.speedup_vs_serial = serial_wall / wall;
-      run.bitwise_match_serial =
-          report.iterations() == serial_report.iterations() &&
-          report.solution == serial_report.solution;
-      runs.push_back(run);
-
-      st.add_row({util::Table::integer(shards),
-                  util::Table::integer(run.iterations),
-                  util::Table::fixed(wall, 4),
-                  util::Table::fixed(run.speedup_vs_serial, 2),
-                  run.bitwise_match_serial ? "yes" : "NO"});
-    }
-    st.print(std::cout, w.name + " (region-sharded)");
-    std::cout << '\n';
   }
 
   util::Json rows = util::Json::array();
@@ -217,7 +178,6 @@ int run_thread_scaling(const util::Cli& cli) {
                   .set("workload", r.workload)
                   .set("n", r.n)
                   .set("threads", r.threads)
-                  .set("shards", r.shards)
                   .set("iterations", r.iterations)
                   .set("converged", r.converged)
                   .set("wall_seconds", r.wall_seconds)
@@ -308,7 +268,7 @@ int main(int argc, char** argv) {
   try {
     mstep::util::Cli cli(argc, argv,
                          {"mode", "quick", "size", "repeats", "threads",
-                          "shards", "out", "cols-per-proc", "rows"});
+                          "out", "cols-per-proc", "rows"});
     const std::string mode = cli.get("mode", "threads");
     if (mode == "threads") return run_thread_scaling(cli);
     if (mode == "scaled") return run_scaled_problem_study(cli);

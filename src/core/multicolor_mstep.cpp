@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "par/thread_pool.hpp"
 
 namespace mstep::core {
 
@@ -25,9 +26,9 @@ std::shared_ptr<const SweepPlan> SweepPlan::build(
   // Each class's strictly-lower / strictly-upper row segments, laid out
   // once.  The sweeps sum them a whole class at a time through
   // ClassSegments::neg_sums — vectorized ACROSS the rows of a class, which
-  // the multicolor ordering makes independent — and the threaded and
-  // sharded sweeps run the identical kernel over part ranges, which is
-  // what keeps serial == threaded == sharded == SIMD-on == SIMD-off.
+  // the multicolor ordering makes independent — and a threaded sweep runs
+  // the identical kernel over strips of parts, which is what keeps
+  // serial == threaded == SIMD-on == SIMD-off.
   const auto& rp = cs.matrix.row_ptr();
   const int nc = cs.num_classes();
   plan->lower_.reserve(nc);
@@ -56,15 +57,15 @@ long long SweepPlan::builds() {
 
 MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
                                          std::vector<double> alphas,
-                                         KernelLog* log)
+                                         KernelLog* log, par::ThreadPool* pool)
     : MulticolorMStepSsor(SweepPlan::build(cs, la::SegmentLayout::kSell),
-                          std::move(alphas), log) {}
+                          std::move(alphas), log, pool) {}
 
 MulticolorMStepSsor::MulticolorMStepSsor(std::shared_ptr<const SweepPlan> plan,
                                          std::vector<double> alphas,
-                                         KernelLog* log)
+                                         KernelLog* log, par::ThreadPool* pool)
     : plan_(std::move(plan)), cs_(&plan_->system()),
-      alphas_(std::move(alphas)), log_(log) {
+      alphas_(std::move(alphas)), log_(log), pool_(pool) {
   if (alphas_.empty()) {
     throw std::invalid_argument("MulticolorMStepSsor: need m >= 1");
   }
@@ -82,6 +83,30 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
 
   const SweepPlan& plan = *plan_;
   const Vec& diag = plan.splits().diag;
+  const index_t strips = pool_ ? pool_->threads() : 1;
+  // One class phase: body(k) for every strip k — called directly when
+  // serial, one pool dispatch otherwise.  Strips write disjoint rows.
+  auto phase = [&](const auto& body) {
+    if (strips == 1) {
+      body(index_t{0});
+      return;
+    }
+    pool_->for_each(0, strips, [&](index_t k) { body(k); });
+  };
+  // Sum strip k of a class's segments into xl, then update its rows.
+  // The last class has no upper couplings: its "saved" value for the next
+  // use must be the (empty) upper sum, not the lower sum.
+  auto update = [&](const la::ClassSegments& segs, double a, bool last) {
+    phase([&, a, last](index_t k) {
+      const la::ClassSegments::Strip s = segs.strip(k, strips);
+      segs.neg_sums(z.data(), xl_.data(), s.part_begin, s.part_end);
+      for (index_t i = s.row_begin; i < s.row_end; ++i) {
+        const double x = xl_[i];
+        z[i] = (x + y_[i] + a * r[i]) / diag[i];
+        y_[i] = last ? 0.0 : x;
+      }
+    });
+  };
   auto log_class = [&](int c, bool lower) {
     if (!log_) return;
     const index_t len = cs_->class_size(c);
@@ -97,45 +122,36 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
     // Forward half-sweep.  For class 0 this doubles as the deferred
     // backward update of the previous step (y holds its upper sums).
     for (int c = 0; c < nc; ++c) {
-      const la::ClassSegments& segs = plan.lower(c);
-      segs.neg_sums(z.data(), xl_.data(), 0, segs.num_parts());
-      for (index_t i = cs_->class_start[c]; i < cs_->class_start[c + 1];
-           ++i) {
-        const double xl = xl_[i];
-        z[i] = (xl + y_[i] + a * r[i]) / diag[i];
-        // The last class has no upper couplings: its "saved" value for the
-        // next use must be the (empty) upper sum, not the lower sum.
-        y_[i] = (c == nc - 1) ? 0.0 : xl;
-      }
+      update(plan.lower(c), a, /*last=*/c == nc - 1);
       log_class(c, /*lower=*/true);
     }
     // Backward half-sweep over classes nc-2 .. 1.  Class nc-1 is skipped
     // (its backward value equals the forward value just computed); class 0
     // is deferred (see below).
     for (int c = nc - 2; c >= 1; --c) {
-      const la::ClassSegments& segs = plan.upper(c);
-      segs.neg_sums(z.data(), xl_.data(), 0, segs.num_parts());
-      for (index_t i = cs_->class_start[c]; i < cs_->class_start[c + 1];
-           ++i) {
-        const double xu = xl_[i];
-        z[i] = (xu + y_[i] + a * r[i]) / diag[i];
-        y_[i] = xu;
-      }
+      update(plan.upper(c), a, /*last=*/false);
       log_class(c, /*lower=*/false);
     }
     // Class 0: save its upper sums (scattered straight into y); the solve
     // is deferred to the next forward pass (inner steps) or the final
     // solve below (last step).
-    plan.upper(0).neg_sums(z.data(), y_.data(), 0, plan.upper(0).num_parts());
+    phase([&](index_t k) {
+      const la::ClassSegments& segs = plan.upper(0);
+      const la::ClassSegments::Strip st = segs.strip(k, strips);
+      segs.neg_sums(z.data(), y_.data(), st.part_begin, st.part_end);
+    });
     if (log_) {
       log_->spmv_diagonals(cs_->class_size(0), plan.census().upper[0]);
       log_->end_precond_step();
     }
   }
   // Final deferred class-0 solve with alpha_0 — line (3) of Algorithm 2.
-  for (index_t i = cs_->class_start[0]; i < cs_->class_start[1]; ++i) {
-    z[i] = (y_[i] + alphas_[0] * r[i]) / diag[i];
-  }
+  phase([&](index_t k) {
+    const la::ClassSegments::Strip st = plan.upper(0).strip(k, strips);
+    for (index_t i = st.row_begin; i < st.row_end; ++i) {
+      z[i] = (y_[i] + alphas_[0] * r[i]) / diag[i];
+    }
+  });
   if (log_) {
     log_->vec_op(cs_->class_size(0), 2);
     log_->diag_op(cs_->class_size(0));
@@ -143,7 +159,8 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
 }
 
 std::string MulticolorMStepSsor::name() const {
-  return "multicolor-ssor-m" + std::to_string(alphas_.size());
+  return std::string(pool_ && pool_->threads() > 1 ? "parallel-" : "") +
+         "multicolor-ssor-m" + std::to_string(alphas_.size());
 }
 
 long long MulticolorMStepSsor::offdiag_traversals_per_apply() const {

@@ -22,6 +22,16 @@
 // The operator is mathematically identical to
 // MStepPreconditioner(SsorSplitting(omega = 1)) applied to the
 // colour-permuted matrix; the tests verify the equivalence to rounding.
+//
+// Threads: given a pool of t threads, every class phase (forward,
+// backward, class-0 save, final solve) is ONE pool dispatch over t static
+// strips — strip k is the k-th equal share of the class's segment windows
+// (la::ClassSegments::strip), so it sums and then updates one contiguous
+// row range.  That is the paper's "equal distribution of each color" per
+// processor.  Because the class diagonal blocks are diagonal, rows of a
+// class read only other-class values and write only themselves: the
+// strips never race and the threaded sweep is BITWISE the serial one.
+// Serial is the same loop with one strip, called directly.
 #pragma once
 
 #include <memory>
@@ -31,6 +41,10 @@
 #include "core/kernel_log.hpp"
 #include "core/preconditioner.hpp"
 #include "la/class_segments.hpp"
+
+namespace mstep::par {
+class ThreadPool;  // par/thread_pool.hpp
+}  // namespace mstep::par
 
 namespace mstep::core {
 
@@ -81,12 +95,17 @@ class MulticolorMStepSsor : public Preconditioner {
   /// Builds its own plan in the SELL layout (the default CSR format's).
   /// `cs` must remain alive; its diagonal class blocks must be diagonal
   /// (verified, throws std::invalid_argument otherwise).
-  /// `alphas[i]` is the coefficient of G^i, m = alphas.size().
+  /// `alphas[i]` is the coefficient of G^i, m = alphas.size().  `pool`
+  /// (optional, must outlive the sweep) runs each class phase across its
+  /// threads; `log` receives the same kernel stream either way, emitted
+  /// from the calling thread.
   MulticolorMStepSsor(const color::ColoredSystem& cs,
-                      std::vector<double> alphas, KernelLog* log = nullptr);
+                      std::vector<double> alphas, KernelLog* log = nullptr,
+                      par::ThreadPool* pool = nullptr);
   /// Sweeps over a shared plan (whose system must remain alive).
   MulticolorMStepSsor(std::shared_ptr<const SweepPlan> plan,
-                      std::vector<double> alphas, KernelLog* log = nullptr);
+                      std::vector<double> alphas, KernelLog* log = nullptr,
+                      par::ThreadPool* pool = nullptr);
 
   [[nodiscard]] index_t size() const override { return cs_->size(); }
   void apply(const Vec& r, Vec& z) const override;
@@ -108,6 +127,7 @@ class MulticolorMStepSsor : public Preconditioner {
   const color::ColoredSystem* cs_;
   std::vector<double> alphas_;
   KernelLog* log_;
+  par::ThreadPool* pool_;  // null: serial, one strip
   mutable Vec y_;   // Conrad–Wallach auxiliary vector
   mutable Vec xl_;  // scratch: the current class's scattered sums
 };

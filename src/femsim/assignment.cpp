@@ -146,7 +146,8 @@ std::vector<int> coordinate_strip_owner(const fem::TriMesh& mesh, int p) {
     // (an L-shape seam, a mesh stitched from two plates), and without a
     // total order std::sort's ownership boundary would depend on the
     // implementation's partition choices — the strip assignment must be
-    // deterministic because shard partitions and halo plans key off it.
+    // deterministic because the distributed solver's ownership and
+    // message counts key off it.
     return a < b;
   });
   std::vector<int> owner(mesh.num_nodes(), -1);

@@ -56,8 +56,8 @@ struct AssignmentStats {
 /// (x, y, node id) coordinate order — vertical strips on mesh-like node
 /// distributions.  The node-id tie-break makes the order TOTAL, so the
 /// ownership boundary between two coincident nodes (seams, stitched
-/// meshes) is deterministic across standard libraries — the shard
-/// partitioner and halo plans depend on this.
+/// meshes) is deterministic across standard libraries — the simulated
+/// machine's ownership and message counts depend on this.
 /// Returns the owning processor per node (-1 for constrained nodes).
 [[nodiscard]] std::vector<int> coordinate_strip_owner(
     const fem::TriMesh& mesh, int p);

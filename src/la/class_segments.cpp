@@ -12,6 +12,8 @@ ClassSegments ClassSegments::build(SegmentLayout layout, const CsrMatrix& a,
                                    index_t row_end) {
   ClassSegments s;
   s.layout_ = layout;
+  s.row_begin_ = row_begin;
+  s.row_end_ = row_end;
   if (layout == SegmentLayout::kDia) {
     s.dia_ = DiaSegments::build(a, seg_begin, seg_end, row_begin, row_end);
   } else {

@@ -19,9 +19,14 @@
 // Which layout a pipeline builds follows its resolved operator format: a
 // DIA operator gets DIA segments, CSR and SELL operators SELL segments.
 // Either way, every row's result depends only on the stored segment, so
-// any partition of a class over threads or shards gives the same bits.
+// any partition of a class over threads gives the same bits.
+//
+// The threaded sweep splits a class into strips of whole WINDOWS — one
+// row in the DIA layout, one sigma sorting window of slices in the SELL
+// layout — so a strip's parts write exactly one contiguous row range.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "la/csr_matrix.hpp"
@@ -50,11 +55,43 @@ class ClassSegments {
                                            index_t row_end);
 
   [[nodiscard]] SegmentLayout layout() const { return layout_; }
+  [[nodiscard]] index_t row_begin() const { return row_begin_; }
+  [[nodiscard]] index_t row_end() const { return row_end_; }
 
   /// The units neg_sums partitions: SELL slices of 4 rows, or single
   /// rows in the DIA layout.
   [[nodiscard]] index_t num_parts() const {
     return layout_ == SegmentLayout::kDia ? dia_.rows() : sell_.num_slices();
+  }
+
+  /// Parts [part_begin, part_end) and the rows [row_begin, row_end) they
+  /// write.
+  struct Strip {
+    index_t part_begin = 0;
+    index_t part_end = 0;
+    index_t row_begin = 0;
+    index_t row_end = 0;
+  };
+
+  /// Strip k of `strips`: the windows w with w * strips / windows == k
+  /// (the equal-strip rule), i.e. whole windows from ceil(k * W / strips)
+  /// up to ceil((k + 1) * W / strips).  The strips of one class partition
+  /// its parts and rows in order; a strip may be empty when there are
+  /// more strips than windows.
+  [[nodiscard]] Strip strip(index_t k, index_t strips) const {
+    const bool dia = layout_ == SegmentLayout::kDia;
+    const index_t rows = row_end_ - row_begin_;
+    const index_t window_rows = dia ? 1 : sell_.sigma();
+    const index_t window_parts =
+        dia ? 1 : sell_.sigma() / SellMatrix::kSliceHeight;
+    const index_t windows = (rows + window_rows - 1) / window_rows;
+    const index_t w0 = (k * windows + strips - 1) / strips;
+    const index_t w1 = ((k + 1) * windows + strips - 1) / strips;
+    const index_t parts = num_parts();
+    return {std::min(parts, w0 * window_parts),
+            std::min(parts, w1 * window_parts),
+            row_begin_ + std::min(rows, w0 * window_rows),
+            row_begin_ + std::min(rows, w1 * window_rows)};
   }
 
   /// out[i] = -(row i's segment . x) for every row i of parts
@@ -80,6 +117,8 @@ class ClassSegments {
 
  private:
   SegmentLayout layout_ = SegmentLayout::kSell;
+  index_t row_begin_ = 0;
+  index_t row_end_ = 0;
   SellSegments sell_;
   DiaSegments dia_;
 };

@@ -139,8 +139,9 @@ void SellMatrix::multiply_sub(const Vec& x, Vec& y) const {
 SellSegments SellSegments::build(const CsrMatrix& a, const index_t* seg_begin,
                                  const index_t* seg_end, index_t row_begin,
                                  index_t row_end, index_t sigma) {
-  sigma = std::max(sigma, kC);
   SellSegments m;
+  m.sigma_ = (std::max(sigma, kC) + kC - 1) / kC * kC;
+  sigma = m.sigma_;
   const index_t n = row_end - row_begin;
   if (n <= 0) return m;
 

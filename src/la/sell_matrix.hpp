@@ -118,7 +118,8 @@ class SellSegments {
 
   /// Rows [row_begin, row_end) of `a`, row i contributing its CSR entries
   /// [seg_begin[i], seg_end[i]); both arrays are indexed by global row id
-  /// (pass row_ptr().data() / the RowSplits arrays directly).
+  /// (pass row_ptr().data() / the RowSplits arrays directly).  `sigma` is
+  /// rounded up to a multiple of the slice height.
   [[nodiscard]] static SellSegments build(
       const CsrMatrix& a, const index_t* seg_begin, const index_t* seg_end,
       index_t row_begin, index_t row_end,
@@ -130,11 +131,16 @@ class SellSegments {
   }
   /// Stored entries including padding — the sweep bench's traffic model.
   [[nodiscard]] std::size_t stored_values() const { return val_.size(); }
+  /// Rows per sorting window, a multiple of the slice height: a window's
+  /// slices hold exactly its rows, so whole windows split the rows into
+  /// contiguous ranges.
+  [[nodiscard]] index_t sigma() const { return sigma_; }
 
   /// Non-owning kernel view; valid while this object lives.
   [[nodiscard]] simd::SellView view() const;
 
  private:
+  index_t sigma_ = SellMatrix::kDefaultSigma;
   std::vector<double> val_;
   std::vector<index_t> col_;
   std::vector<index_t> len_;

@@ -90,8 +90,6 @@ const char* counter_name(Counter c) {
     case Counter::kSpmvs: return "spmvs";
     case Counter::kSweeps: return "sweeps";
     case Counter::kCacheHits: return "cache_hits";
-    case Counter::kHaloExchanges: return "halo_exchanges";
-    case Counter::kHaloDoubles: return "halo_doubles";
     case Counter::kCounterCount: break;
   }
   return "unknown";

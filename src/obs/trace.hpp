@@ -44,8 +44,6 @@ enum class Counter : int {
   kSpmvs,          // sparse matrix-vector products
   kSweeps,         // preconditioner half/full sweeps
   kCacheHits,      // daemon prepared-pipeline cache hits
-  kHaloExchanges,  // sharded-sweep ghost mailbox drains (one per edge)
-  kHaloDoubles,    // ghost values moved by those drains
   kCounterCount,
 };
 inline constexpr int kNumCounters = static_cast<int>(Counter::kCounterCount);

@@ -2,7 +2,8 @@
 //
 // One Execution owns (at most) one ThreadPool and threads the three kernel
 // families Algorithm 1 spends its time in — multicolor sweeps (through the
-// pool, see colored_sweep), CSR/DIA SpMV, and the BLAS-1 vector ops — while
+// pool, see core/multicolor_mstep), CSR/DIA SpMV, and the BLAS-1 vector
+// ops — while
 // guaranteeing BITWISE the serial result for any thread count:
 //
 //  * elementwise ops (axpy, xpay, SpMV rows / DIA elements) are partitioned

@@ -87,6 +87,10 @@ void ThreadPool::for_range(index_t begin, index_t end,
     body(begin, end);
     return;
   }
+  // One job at a time: a second caller waits here for the whole
+  // job, not just the post, so it can never overwrite body_/pending_ of a
+  // job still in flight.
+  const std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
   const index_t chunk = std::max<index_t>(
       1, (end - begin) / (4 * static_cast<index_t>(threads())));
   {

@@ -27,6 +27,10 @@ namespace mstep::par {
 /// thread, returning when the whole range is done.  If body throws, the
 /// sweep is cut short, the first exception is rethrown on the calling
 /// thread, and the pool remains usable for subsequent jobs.
+///
+/// Any number of threads may dispatch on one pool: each job holds
+/// a dispatch mutex from post to return, so concurrent callers queue
+/// whole jobs.  A body must not dispatch on the pool running it.
 class ThreadPool {
  public:
   /// `threads` total workers including the caller; 1 means serial.
@@ -57,6 +61,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 
+  std::mutex dispatch_mutex_;  // held by the dispatching thread for a whole job
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;

@@ -120,11 +120,6 @@ DriverResult run_resolved(const Problem& problem,
   r.sweep_format = prepared.sweep_format();
 
   r.batch = prepared.solveMany(bs);
-  // What actually ran, not what was asked: solveMany reports shards = 0
-  // when wide batch lanes claimed the pool instead of the shard plan.
-  r.shards = !r.batch.reports.empty() && r.batch.ok(0)
-                 ? r.batch.reports[0].shards
-                 : prepared.shards();
   r.error_messages.reserve(r.batch.size());
   for (const auto& e : r.batch.errors) {
     r.error_messages.push_back(exception_message(e));
@@ -188,7 +183,6 @@ util::Json report_json(const DriverResult& r) {
       .set("used_classes", r.used_classes)
       .set("format_selected", r.format_selected)
       .set("sweep_format", r.sweep_format)
-      .set("shards", r.shards)
       .set("config", r.config.to_string())
       .set("nrhs", static_cast<long long>(r.batch.size()))
       .set("concurrency", r.batch.concurrency)

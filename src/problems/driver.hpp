@@ -52,10 +52,6 @@ struct DriverResult {
   /// | "dia"), or "none" when no multicolour sweep ran; "dia" exactly when
   /// a sweep ran on a DIA operator.
   std::string sweep_format = "none";
-  /// Effective shard count of the region-sharded backend on the solves
-  /// that ran (requested `shards` after the widest-color-block clamp), or
-  /// 0 when the run was not sharded.
-  int shards = 0;
   solver::SolverConfig config;
   double setup_seconds = 0.0;  // prepare(): colouring + splitting + alphas
   solver::BatchReport batch;   // reports[i] belongs to right-hand side i

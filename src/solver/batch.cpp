@@ -9,8 +9,8 @@
 // never stalls the rest of the batch behind a static partition.
 //
 // Each lane owns a scratch arena — its own SERIAL preconditioner instance
-// (mutable sweep scratch must not be shared across lanes, and nested pool
-// dispatch from inside a pool job is not supported) plus a PcgWorkspace
+// (mutable sweep scratch must not be shared across lanes, and a lane
+// already runs on the pool, so it has no threads to spare) plus a PcgWorkspace
 // and reorder buffers — built once before the loop, so nothing allocates
 // inside the batch loop beyond each report's solution vector.  On the
 // Algorithm-2 path a lane's preconditioner is only its y / scratch
@@ -104,23 +104,12 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   par::ThreadPool* pool = exec_ ? exec_->pool() : nullptr;
   const int pool_width = pool ? pool->threads() : 1;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int auto_want = hw > 0 ? std::min(pool_width, hw) : pool_width;
-  // A configured sharded backend and wide batch lanes are two competing
-  // uses of the one pool, and lanes cannot nest pool dispatch; when the
-  // config asks for shards and leaves the lane count to the engine, the
-  // shards win — right-hand sides run sequentially, each solve sharded
-  // across the pool.  An explicit batch/concurrency request overrides
-  // (lanes win, solves run the serial kernels, reports say shards = 0).
-  const int auto_lanes = shards_ > 0 ? 1 : auto_want;
+  const int auto_lanes = hw > 0 ? std::min(pool_width, hw) : pool_width;
   const int want = batch.concurrency > 0
                        ? batch.concurrency
                        : (config_.batch > 0 ? config_.batch : auto_lanes);
   const int lanes = std::max(
       1, std::min({want, pool_width, static_cast<int>(nrhs)}));
-  // Sharded execution engages only when one solve owns the pool at a
-  // time: lanes == 1 runs on the calling thread, leaving the pool free
-  // for the per-shard phase dispatch.
-  const bool sharded = shards_ > 0 && lanes == 1;
 
   // Build one scratch arena per lane through the same selection policy as
   // prepare(), with exec = nullptr for the serial twin (see the file
@@ -160,19 +149,16 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
               std::to_string(n));
         }
         SolveReport report;
-        const core::Preconditioner& precond =
-            sharded && shard_precond_ ? *shard_precond_
-                                      : *lane.engine.precond;
-        const la::LinearOperator& op = sharded ? *shard_op_ : *op_;
+        const core::Preconditioner& precond = *lane.engine.precond;
         if (cs_) {
           cs_->permute_into(f, lane.fp);
-          report.result = core::pcg_solve(op, lane.fp, precond,
+          report.result = core::pcg_solve(*op_, lane.fp, precond,
                                           config_.pcg_options(),
                                           lane.trace_log.get(), {},
                                           nullptr, &lane.workspace);
           cs_->unpermute_into(report.result.solution, report.solution);
         } else {
-          report.result = core::pcg_solve(op, f, precond,
+          report.result = core::pcg_solve(*op_, f, precond,
                                           config_.pcg_options(),
                                           lane.trace_log.get(), {},
                                           nullptr, &lane.workspace);
@@ -185,7 +171,6 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
         report.steps = config_.steps;
         report.format_selected = resolved_format_;
         report.sweep_format = sweep_format();
-        report.shards = sharded ? shards_ : 0;
         br.reports[i] = std::move(report);  // distinct slot per RHS: no race
       } catch (...) {
         br.errors[i] = std::current_exception();

@@ -86,10 +86,6 @@ void SolverConfig::validate() const {
     throw std::invalid_argument(
         "SolverConfig: threads must be >= 0 (0 = serial)");
   }
-  if (execution.shards < 0) {
-    throw std::invalid_argument(
-        "SolverConfig: shards must be >= 0 (0 = not sharded)");
-  }
   if (batch < 0) {
     throw std::invalid_argument(
         "SolverConfig: batch must be >= 0 (0 = auto, 1 = sequential)");
@@ -107,12 +103,6 @@ std::string SolverConfig::to_string() const {
       ";maxit=" + std::to_string(max_iterations);
   if (execution.parallel()) {
     out += ";threads=" + std::to_string(execution.threads);
-  }
-  // Only a 2+ shard count changes execution, so only that serializes —
-  // which is also what keys the daemon's prepared-pipeline cache on the
-  // sharded backend (the cache key is this canonical string).
-  if (execution.shard_count() > 0) {
-    out += ";shards=" + std::to_string(execution.shards);
   }
   if (batch > 0) out += ";batch=" + std::to_string(batch);
   if (record_history) out += ";history=1";
@@ -157,8 +147,6 @@ SolverConfig SolverConfig::from_string(const std::string& text) {
       cfg.max_iterations = util::parse_int(value, "SolverConfig: maxit");
     } else if (key == "threads") {
       cfg.execution.threads = util::parse_int(value, "SolverConfig: threads");
-    } else if (key == "shards") {
-      cfg.execution.shards = util::parse_int(value, "SolverConfig: shards");
     } else if (key == "batch") {
       cfg.batch = util::parse_int(value, "SolverConfig: batch");
     } else if (key == "history") {
@@ -204,9 +192,6 @@ SolverConfig SolverConfig::from_cli(const util::Cli& cli,
   if (cli.has("threads")) {
     cfg.execution.threads = cli.get_int("threads", cfg.execution.threads);
   }
-  if (cli.has("shards")) {
-    cfg.execution.shards = cli.get_int("shards", cfg.execution.shards);
-  }
   if (cli.has("batch")) cfg.batch = cli.get_int("batch", cfg.batch);
   cfg.validate();
   return cfg;
@@ -217,8 +202,8 @@ SolverConfig SolverConfig::from_cli(const util::Cli& cli) {
 }
 
 std::vector<std::string> SolverConfig::cli_flags() {
-  return {"splitting", "m",   "params", "ordering", "format", "stop",
-          "tol",       "maxit", "threads", "shards",   "batch"};
+  return {"splitting", "m",     "params",  "ordering", "format", "stop",
+          "tol",       "maxit", "threads", "batch"};
 }
 
 core::PcgOptions SolverConfig::pcg_options() const {

@@ -60,16 +60,6 @@ enum class MatrixFormat {
 struct ExecutionConfig {
   int threads = 0;
 
-  /// Region shards for the sharded execution backend (src/shard): the
-  /// color-permuted system is cut into `shards` contiguous strips per
-  /// color block, each swept by its own task on the shared pool with
-  /// halo exchange between them.  0 and 1 both mean "not sharded" (one
-  /// shard IS the serial region).  The effective count may be clamped to
-  /// the widest color block at prepare time — SolveReport::shards
-  /// records what actually ran.  Sharded solves stay bitwise identical
-  /// to serial for any shards x threads x batch combination.
-  int shards = 0;
-
   [[nodiscard]] bool parallel() const { return threads >= 1; }
 
   /// Pool-construction normal form: how many pool threads this config asks
@@ -80,12 +70,8 @@ struct ExecutionConfig {
   /// 0-thread pool (ThreadPool itself throws on < 1 as the backstop).
   [[nodiscard]] int resolve() const { return threads >= 2 ? threads : 0; }
 
-  /// Sharding normal form, same collapse rule as resolve(): the backend
-  /// engages only for 2+ shards.
-  [[nodiscard]] int shard_count() const { return shards >= 2 ? shards : 0; }
-
   friend bool operator==(const ExecutionConfig& a, const ExecutionConfig& b) {
-    return a.threads == b.threads && a.shards == b.shards;
+    return a.threads == b.threads;
   }
   friend bool operator!=(const ExecutionConfig& a, const ExecutionConfig& b) {
     return !(a == b);

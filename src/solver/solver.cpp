@@ -8,9 +8,6 @@
 #include "core/mstep.hpp"
 #include "core/multicolor_mstep.hpp"
 #include "obs/trace.hpp"
-#include "par/colored_sweep.hpp"
-#include "shard/sharded_operator.hpp"
-#include "shard/sharded_sweep.hpp"
 
 namespace mstep::solver {
 
@@ -73,22 +70,22 @@ PrecondChoice make_preconditioner(
   }
   // Algorithm-2 fast path: the Conrad–Wallach multicolor sweep is the
   // SSOR(omega = 1) m-step operator on the colour-permuted matrix.  With
-  // a parallel execution policy the colour classes are swept by the
-  // thread pool — bitwise the serial result (the decoupling property).
-  // Tiny systems keep the serial sweep: per-class pool dispatch costs
-  // more than it saves there (same threshold as the Execution kernels).
+  // a parallel execution policy each colour class is swept in strips by
+  // the thread pool — bitwise the serial result (the decoupling
+  // property).  Tiny systems keep the serial sweep: per-class pool
+  // dispatch costs more than it saves there (same threshold as the
+  // Execution kernels).
   if (uses_multicolor_sweep(config, cs)) {
     if (!sweep) {
       sweep = core::SweepPlan::build(
           *cs, sweep_layout(resolve_format(config.format, matrix)));
     }
-    if (exec && exec->parallel() && matrix.rows() >= par::kSerialCutoff) {
-      choice.precond = std::make_unique<par::ParallelMulticolorMStepSsor>(
-          std::move(sweep), alphas, *exec->pool(), log);
-    } else {
-      choice.precond = std::make_unique<core::MulticolorMStepSsor>(
-          std::move(sweep), alphas, log);
-    }
+    par::ThreadPool* pool =
+        exec && exec->parallel() && matrix.rows() >= par::kSerialCutoff
+            ? exec->pool()
+            : nullptr;
+    choice.precond = std::make_unique<core::MulticolorMStepSsor>(
+        std::move(sweep), alphas, log, pool);
     return choice;
   }
   // Generic m-step engine: every registered splitting threads its sweep
@@ -113,13 +110,7 @@ Solver::Solver(SolverConfig config) : config_(std::move(config)) {
   // 0-thread pool.
   const int kernel_threads = config_.execution.resolve();
   const int lane_threads = config_.batch >= 2 ? config_.batch : 0;
-  // The sharded backend carves one task per shard from the same pool, so
-  // the pool is provisioned for the REQUESTED shard count (the effective
-  // count is only known at prepare time, after the clamp; over-provision
-  // by a few idle workers is the cheap side of that trade).
-  const int shard_threads = config_.execution.shard_count();
-  const int pool_threads =
-      std::max({kernel_threads, lane_threads, shard_threads});
+  const int pool_threads = std::max(kernel_threads, lane_threads);
   if (pool_threads > 0) {
     exec_ = std::make_shared<par::Execution>(pool_threads);
   }
@@ -221,39 +212,6 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
     p.splitting_ = std::move(choice.splitting);
     p.precond_ = std::move(choice.precond);
   }
-
-  // 4. Region-sharded backend: cut every color block into contiguous
-  // strips and run the outer products (and, on the multicolor SSOR fast
-  // path, the sweeps with halo exchange) one pool task per shard.  Needs
-  // a multicolour system — the color blocks ARE the regions — and the
-  // shared pool the Solver provisioned for the shard count.  The clamp
-  // (ShardPlan::build) can collapse the request to one shard on a tiny
-  // system, which is the serial region: no machinery engages and the
-  // report says shards = 0.
-  if (config_.execution.shard_count() >= 2 && p.cs_ && exec_) {
-    auto plan = std::make_unique<shard::ShardPlan>(shard::ShardPlan::build(
-        p.cs_->class_start, config_.execution.shards));
-    if (plan->num_shards() >= 2) {
-      p.shards_ = plan->num_shards();
-      if (p.resolved_format_ == MatrixFormat::kDia) {
-        p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-            *p.dia_, *plan, *exec_->pool());
-      } else if (p.resolved_format_ == MatrixFormat::kSell) {
-        p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-            *p.sell_, *plan, *exec_->pool());
-      } else {
-        p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-            *p.matrix_, *plan, *exec_->pool());
-      }
-      if (p.sweep_) {
-        p.shard_precond_ = std::make_unique<shard::ShardedMulticolorMStepSsor>(
-            *p.cs_, p.alphas_, *plan, *exec_->pool(), log,
-            shard::ShardedMulticolorMStepSsor::kVerifyHaloDefault,
-            p.sweep_->layout());
-      }
-      p.shard_plan_ = std::move(plan);
-    }
-  }
   return p;
 }
 
@@ -292,23 +250,16 @@ SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
   const Vec u0p = u0.empty() ? Vec{} : permute(u0);
 
   SolveReport report;
-  // The sharded backend, when engaged, substitutes its operator and (on
-  // the SSOR fast path) its sweep — both bitwise identical to the plain
-  // ones, so everything downstream is unchanged.
-  const la::LinearOperator& op = shard_op_ ? *shard_op_ : *op_;
-  const core::Preconditioner& precond =
-      shard_precond_ ? *shard_precond_ : *precond_;
-  report.result = core::pcg_solve(op, fp, precond, config_.pcg_options(),
+  report.result = core::pcg_solve(*op_, fp, *precond_, config_.pcg_options(),
                                   log_, u0p, kernel_exec());
   report.solution = unpermute(report.result.solution);
   report.alphas = alphas_;
   report.interval = interval_;
   report.coloring = stats_;
-  report.preconditioner_name = precond.name();
+  report.preconditioner_name = precond_->name();
   report.steps = config_.steps;
   report.format_selected = resolved_format_;
   report.sweep_format = sweep_format();
-  report.shards = shards_;
   return report;
 }
 

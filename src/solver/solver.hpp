@@ -25,7 +25,6 @@
 #include "la/dia_matrix.hpp"
 #include "la/linear_operator.hpp"
 #include "par/execution.hpp"
-#include "shard/partition.hpp"
 #include "solver/config.hpp"
 #include "split/splitting.hpp"
 #include "util/span.hpp"
@@ -61,11 +60,6 @@ struct SolveReport {
   /// when no multicolour sweep ran (natural ordering, a generic
   /// splitting, or m = 0).
   std::string sweep_format = "none";
-  /// Effective shard count of the region-sharded backend this solve ran
-  /// on: the configured `shards` after the widest-color-block clamp, or 0
-  /// when the solve was not sharded (shards in {0, 1}, no multicolour
-  /// system to partition, or a batch wide enough to own the pool).
-  int shards = 0;
 
   [[nodiscard]] bool converged() const { return result.converged; }
   [[nodiscard]] int iterations() const { return result.iterations; }
@@ -251,10 +245,6 @@ class Prepared {
     return sweep_ ? la::to_string(sweep_->layout()) : "none";
   }
 
-  /// Effective shard count of the region-sharded backend (0 when not
-  /// sharded); the requested `shards` clamped to the widest color block.
-  [[nodiscard]] int shards() const { return shards_; }
-
   /// Caller ordering <-> solve ordering (identity when natural).
   [[nodiscard]] Vec permute(const Vec& x) const;
   [[nodiscard]] Vec unpermute(const Vec& x) const;
@@ -283,17 +273,6 @@ class Prepared {
   std::unique_ptr<split::Splitting> splitting_;
   std::shared_ptr<const core::SweepPlan> sweep_;  // set on the sweep path
   std::unique_ptr<core::Preconditioner> precond_;
-  // Region-sharded backend (src/shard), engaged when the config asks for
-  // 2+ shards on a multicolour system: shard_op_ replaces op_ for the
-  // outer products; shard_precond_ replaces precond_ on the multicolor
-  // SSOR fast path (generic splittings shard the operator only).  Both
-  // run on the shared pool below.  Batch lanes ignore them: lanes already
-  // own the pool sideways, so sharding engages only when one solve runs
-  // at a time.
-  std::unique_ptr<shard::ShardPlan> shard_plan_;
-  std::unique_ptr<la::LinearOperator> shard_op_;
-  std::unique_ptr<core::Preconditioner> shard_precond_;
-  int shards_ = 0;  // effective count; 0 when not sharded
   // Shared with the creating Solver (and its other Prepared instances):
   // one pool, warm across steps and right-hand sides.
   std::shared_ptr<par::Execution> exec_;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "color/coloring.hpp"
@@ -179,6 +180,17 @@ TEST(ThreadPoolStress, BackToBackTinyJobsNeverReuseAStaleBody) {
   run_handoff_stress(four, 5000);
   ThreadPool oversubscribed(12);
   run_handoff_stress(oversubscribed, 3000);
+}
+
+// Two outside threads dispatching on one pool — two daemon requests on
+// one cached pipeline.  Each caller's jobs must run whole and exactly
+// once; a pool that let the second post overwrite a job in flight loses
+// indices here or hangs (ctest's TIMEOUT turns a hang into a failure).
+TEST(ThreadPoolStress, TwoOutsideCallersShareOnePool) {
+  ThreadPool pool(4);
+  std::thread other([&pool] { run_handoff_stress(pool, 2000); });
+  run_handoff_stress(pool, 2000);
+  other.join();
 }
 
 TEST(ThreadPoolStress, ExceptionPropagatesFromSerialFallback) {
@@ -363,6 +375,48 @@ TEST(SolverThreads, InstrumentationStreamMatchesSerial) {
   EXPECT_EQ(serial_log.flops, threaded_log.flops);
 }
 
+// Two threads batch-solving on ONE Prepared whose solver owns a 2-thread
+// pool: both dispatch their lanes on that pool at once.  Every report
+// must keep its serial bits, and neither caller may hang.
+TEST(SolverThreads, TwoCallersSolveManyOnOnePrepared) {
+  const Plate p = make_plate(12);
+  util::Rng rng(17);
+  std::vector<Vec> bs = {p.f, rng.uniform_vector(p.f.size())};
+
+  solver::SolverConfig serial_cfg;
+  serial_cfg.tolerance = 1e-8;
+  const auto serial =
+      solver::Solver::from_config(serial_cfg).prepare(p.k, p.classes);
+  std::vector<solver::SolveReport> want;
+  for (const Vec& b : bs) want.push_back(serial.solve(b));
+
+  solver::SolverConfig cfg = serial_cfg;
+  cfg.execution.threads = 2;
+  const auto solver = solver::Solver::from_config(cfg);
+  const auto prepared = solver.prepare(p.k, p.classes);
+  solver::BatchConfig two_lanes;
+  two_lanes.concurrency = 2;
+
+  std::vector<solver::BatchReport> got(2 * 20);
+  auto caller = [&](std::size_t first) {
+    for (std::size_t i = first; i < got.size(); i += 2) {
+      got[i] = prepared.solveMany(util::Span<const Vec>(bs), two_lanes);
+    }
+  };
+  std::thread other(caller, 1);
+  caller(0);
+  other.join();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].concurrency, 2) << "call " << i;
+    for (std::size_t j = 0; j < bs.size(); ++j) {
+      ASSERT_TRUE(got[i].ok(j));
+      expect_bitwise_equal(want[j], got[i].reports[j],
+                           "call " + std::to_string(i) + " rhs " +
+                               std::to_string(j));
+    }
+  }
+}
+
 // ---- config round-trip ------------------------------------------------------
 
 TEST(ExecutionConfig, ThreadsRoundTripsThroughStringAndCli) {
@@ -384,6 +438,28 @@ TEST(ExecutionConfig, SerialDefaultKeepsConfigStringUnchanged) {
   EXPECT_EQ(cfg.to_string().find("threads"), std::string::npos);
   EXPECT_FALSE(cfg.execution.parallel());
   EXPECT_EQ(solver::Solver::from_config(cfg).execution(), nullptr);
+}
+
+// Threads are the one parallelism option: the retired `shards` field is
+// an unknown field in the string form and an unknown flag on the CLI.
+TEST(ExecutionConfig, ShardsIsRejectedAsUnknown) {
+  try {
+    (void)solver::SolverConfig::from_string("m=2;shards=4");
+    FAIL() << "shards=4 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown field 'shards'"),
+              std::string::npos)
+        << e.what();
+  }
+  const char* argv[] = {"prog", "--shards=4"};
+  try {
+    const util::Cli cli(2, argv, solver::SolverConfig::cli_flags());
+    FAIL() << "--shards=4 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag: --shards"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ExecutionConfig, RejectsNegativeThreads) {

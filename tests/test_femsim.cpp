@@ -175,8 +175,8 @@ TEST(Assignment, Figure5FiveProcessorStripsAreBalanced) {
 // The strip order is (x, y, node id) — the id tie-break makes it TOTAL,
 // so the ownership boundary between coincident nodes never depends on
 // std::sort's partition choices: the lower node id always gets the lower
-// (or equal) strip.  Shard partitions and halo plans key off this
-// ownership, so it must be deterministic across standard libraries.
+// (or equal) strip.  The distributed solver keys off this ownership, so
+// it must be deterministic across standard libraries.
 TEST(Assignment, CoordinateStripTieBreaksOnNodeId) {
   fem::TriMesh mesh;
   // Four coincident free nodes at (0.5, 0.5) interleaved with distinct

@@ -15,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "problems/problem.hpp"
 #include "solver/solver.hpp"
+#include "util/rng.hpp"
 #include "util/span.hpp"
 
 namespace mstep::obs {
@@ -249,53 +250,42 @@ TEST_F(ObsTest, TracedSolveIsBitwiseIdenticalPerSplittingAndFormat) {
   }
 }
 
-// The sharded backend under the tracer: every shard phase body opens a
-// "shard" span and every ghost drain/post a "halo_exchange" span (on the
-// pool track that ran it, so nesting stays strict per track — the CI
-// check_trace.py smoke validates that on a real trace file), the halo
-// counters see the exchanged volume, and tracing a sharded solve still
-// never changes bits.
-TEST_F(ObsTest, TracedShardedSolveIsBitwiseIdenticalAndEmitsShardSpans) {
+// The threaded multicolour sweep under the tracer: a threads=3 solve
+// above the serial cutoff runs the strip-parallel sweep, opens one
+// "sweep" span per step like the serial sweep, and tracing it never
+// changes bits.
+TEST_F(ObsTest, TracedThreadedSolveIsBitwiseIdenticalAndEmitsSweepSpans) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=12");
+      problems::ProblemRegistry::instance().create("poisson2d:n=48");
   ASSERT_TRUE(p.has_classes());
+  const Vec b = util::Rng(13).uniform_vector(p.matrix.rows());
   solver::SolverConfig cfg;
   cfg.steps = 2;
   cfg.tolerance = 1e-8;
-  cfg.execution.shards = 3;
+  cfg.execution.threads = 3;
+  const auto prepared =
+      solver::Solver::from_config(cfg).prepare(p.matrix, p.classes);
 
   Tracer::instance().reset();
   Tracer::instance().set_enabled(false);
-  const auto plain = solver::Solver::from_config(cfg)
-                         .prepare(p.matrix, p.classes)
-                         .solve(p.rhs);
+  const auto plain = prepared.solve(b);
   ASSERT_TRUE(plain.converged());
-  ASSERT_EQ(plain.shards, 3);
+  ASSERT_EQ(plain.preconditioner_name.rfind("parallel-", 0), 0u)
+      << plain.preconditioner_name;
+  ASSERT_EQ(Tracer::instance().chrome_json().find("\"sweep\""),
+            std::string::npos);
 
   Tracer::instance().set_enabled(true);
-  const auto traced = solver::Solver::from_config(cfg)
-                          .prepare(p.matrix, p.classes)
-                          .solve(p.rhs);
+  const auto traced = prepared.solve(b);
   Tracer::instance().set_enabled(false);
   ASSERT_TRUE(traced.converged());
-  ASSERT_EQ(traced.shards, 3);
 
   ASSERT_EQ(plain.iterations(), traced.iterations());
   ASSERT_EQ(plain.result.final_delta_inf, traced.result.final_delta_inf);
-  ASSERT_EQ(plain.solution.size(), traced.solution.size());
-  for (std::size_t i = 0; i < plain.solution.size(); ++i) {
-    ASSERT_EQ(plain.solution[i], traced.solution[i]) << "i=" << i;
-  }
+  ASSERT_EQ(plain.solution, traced.solution);
 
   const std::string json = Tracer::instance().chrome_json();
-  EXPECT_NE(json.find("\"shard\""), std::string::npos);
-  EXPECT_NE(json.find("\"halo_exchange\""), std::string::npos);
   EXPECT_NE(json.find("\"sweep\""), std::string::npos);
-  // The red/black grid has cross-shard coupling everywhere: real ghost
-  // traffic must have been counted (and its volume in doubles).
-  EXPECT_GT(Tracer::instance().counter(Counter::kHaloExchanges), 0);
-  EXPECT_GT(Tracer::instance().counter(Counter::kHaloDoubles),
-            Tracer::instance().counter(Counter::kHaloExchanges));
 }
 
 }  // namespace

@@ -1,47 +1,59 @@
-// The sharded execution backend's headline guarantee: a region-sharded
-// solve is BITWISE identical to the serial solve for every registered
-// splitting x operator format x shard count x thread count — including a
-// shard count that does not divide the class sizes and one that exceeds
-// the widest color block (graceful clamp, observable in the report).
+// The threaded sweep's headline guarantee: a threads=N solve is BITWISE
+// identical to the serial solve for every registered splitting x operator
+// format x thread count — including thread counts that do not divide the
+// class sizes and thread counts wider than a class's window count (empty
+// strips).  Also pins the strip rule the sweep splits a class with.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "color/coloring.hpp"
+#include "color/greedy.hpp"
+#include "core/multicolor_mstep.hpp"
+#include "core/params.hpp"
+#include "la/class_segments.hpp"
+#include "par/thread_pool.hpp"
 #include "problems/problem.hpp"
-#include "shard/partition.hpp"
 #include "solver/solver.hpp"
 #include "util/rng.hpp"
 
 namespace mstep::solver {
 namespace {
 
-void expect_bitwise_equal(const SolveReport& serial, const SolveReport& sharded,
+void expect_bitwise_equal(const SolveReport& serial, const SolveReport& got,
                           const std::string& what) {
   ASSERT_TRUE(serial.converged()) << what;
-  ASSERT_TRUE(sharded.converged()) << what;
-  ASSERT_EQ(serial.iterations(), sharded.iterations()) << what;
-  ASSERT_EQ(serial.result.final_delta_inf, sharded.result.final_delta_inf)
+  ASSERT_TRUE(got.converged()) << what;
+  ASSERT_EQ(serial.iterations(), got.iterations()) << what;
+  ASSERT_EQ(serial.result.final_delta_inf, got.result.final_delta_inf)
       << what;
-  ASSERT_EQ(serial.result.inner_products, sharded.result.inner_products)
-      << what;
-  ASSERT_EQ(serial.solution.size(), sharded.solution.size()) << what;
-  for (std::size_t i = 0; i < serial.solution.size(); ++i) {
-    ASSERT_EQ(serial.solution[i], sharded.solution[i]) << what << " i=" << i;
-  }
+  ASSERT_EQ(serial.result.inner_products, got.result.inner_products) << what;
+  ASSERT_EQ(serial.solution, got.solution) << what;
 }
 
-// ---- the ISSUE-level guarantee ----------------------------------------------
+color::ColoredSystem colored(const problems::Problem& p) {
+  return color::make_colored_system(
+      p.matrix, p.has_classes() ? p.classes
+                                : color::greedy_classes_from_matrix(p.matrix));
+}
 
-// Every registered splitting x {csr, dia, sell} x shards {1, 2, 4, 7} x
-// threads {1, 4} produces the serial bits.  The grid is deliberately
-// coprime with the shard counts (12^2 = 144 rows, 7 shards), so strips of
-// unequal length and per-class remainders are always exercised; reports
-// must agree on the pipeline choices (iterations, format) too.
-TEST(ShardedSolve, EverySplittingFormatShardsThreadsMatchesSerialBitwise) {
+// ---- the facade-level guarantee ---------------------------------------------
+
+// Every registered splitting x {csr, dia, sell} x threads {1, 2, 4, 7}
+// produces the serial bits.  The grid is above par::kSerialCutoff so the
+// threaded sweep engages, and 7 threads do not divide its classes; the
+// right-hand side is random, so PCG really iterates.
+TEST(ThreadedSolve, EverySplittingFormatThreadsMatchesSerialBitwise) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=12");
+      problems::ProblemRegistry::instance().create("poisson2d:n=48");
   ASSERT_TRUE(p.has_classes());
+  ASSERT_GE(p.matrix.rows(), 2048);
+  util::Rng rng(3);
+  const Vec b = rng.uniform_vector(p.matrix.rows());
 
   for (const auto& splitting : SplittingRegistry::instance().names()) {
     for (const MatrixFormat format :
@@ -53,94 +65,144 @@ TEST(ShardedSolve, EverySplittingFormatShardsThreadsMatchesSerialBitwise) {
       base.tolerance = 1e-8;
 
       const auto serial_report =
-          Solver::from_config(base).prepare(p.matrix, p.classes).solve(p.rhs);
+          Solver::from_config(base).prepare(p.matrix, p.classes).solve(b);
 
-      for (const int shards : {1, 2, 4, 7}) {
-        for (const int threads : {1, 4}) {
-          SolverConfig cfg = base;
-          cfg.execution.shards = shards;
-          cfg.execution.threads = threads;
-          const std::string what = splitting + "/" + to_string(format) +
-                                   "/shards=" + std::to_string(shards) +
-                                   "/threads=" + std::to_string(threads);
-
-          const auto prepared =
-              Solver::from_config(cfg).prepare(p.matrix, p.classes);
-          const auto report = prepared.solve(p.rhs);
-          expect_bitwise_equal(serial_report, report, what);
-          ASSERT_EQ(report.format_selected, serial_report.format_selected)
+      for (const int threads : {1, 2, 4, 7}) {
+        SolverConfig cfg = base;
+        cfg.execution.threads = threads;
+        const std::string what = splitting + "/" + to_string(format) +
+                                 "/threads=" + std::to_string(threads);
+        const auto report =
+            Solver::from_config(cfg).prepare(p.matrix, p.classes).solve(b);
+        expect_bitwise_equal(serial_report, report, what);
+        ASSERT_EQ(report.format_selected, serial_report.format_selected)
+            << what;
+        ASSERT_EQ(report.sweep_format, serial_report.sweep_format) << what;
+        if (splitting == "ssor" && threads >= 2) {
+          EXPECT_EQ(report.preconditioner_name.rfind("parallel-", 0), 0u)
               << what;
-          // shards in {0, 1} never engages the backend; 2+ does here (the
-          // widest color block of the 144-row red/black system is far
-          // wider than 7).
-          ASSERT_EQ(report.shards, shards >= 2 ? shards : 0) << what;
         }
       }
     }
   }
 }
 
-// A shard count that exceeds the widest color block clamps to it — no
-// empty shard, no throw — and the report records the EFFECTIVE count,
-// equal to what ShardPlan::build decides.
-TEST(ShardedSolve, ShardCountExceedingColorBlocksClampsGracefully) {
-  const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=3");
-  ASSERT_TRUE(p.has_classes());  // 9 rows, red/black: widest block is 5
+// ---- the sweep itself, below the facade's serial cutoff --------------------
 
-  SolverConfig cfg;
-  cfg.steps = 2;
-  cfg.tolerance = 1e-10;
-  cfg.execution.shards = 64;
+// The m-step sweep on a pool gives the serial apply's bits in both segment
+// layouts, on systems small enough that 7 threads outnumber a class's
+// windows (2 SELL windows per class at n = 12; 5 and 4 DIA windows at
+// n = 3), so empty strips are exercised, plus the multi-colour FEM plate.
+TEST(ThreadedSweep, EveryLayoutAndThreadCountMatchesSerialApplyBitwise) {
+  for (const char* spec :
+       {"poisson2d:n=12", "poisson2d:n=3", "femplate:a=8"}) {
+    const problems::Problem p =
+        problems::ProblemRegistry::instance().create(spec);
+    const color::ColoredSystem cs = colored(p);
+    const auto alphas = core::least_squares_alphas(3, core::ssor_interval());
+    util::Rng rng(5);
+    const Vec r = rng.uniform_vector(cs.size());
 
-  const auto prepared = Solver::from_config(cfg).prepare(p.matrix, p.classes);
-  const auto report = prepared.solve(p.rhs);
-  ASSERT_TRUE(report.converged());
-
-  // The plan itself is the authority on the clamp.
-  const auto cs = color::make_colored_system(p.matrix, p.classes);
-  const auto plan = shard::ShardPlan::build(cs.class_start, 64);
-  ASSERT_LT(plan.num_shards(), 64);
-  ASSERT_GE(plan.num_shards(), 2);
-  ASSERT_EQ(report.shards, plan.num_shards());
-  ASSERT_EQ(prepared.shards(), plan.num_shards());
-
-  SolverConfig plain;
-  plain.steps = cfg.steps;
-  plain.tolerance = cfg.tolerance;
-  const auto serial_report =
-      Solver::from_config(plain).prepare(p.matrix, p.classes).solve(p.rhs);
-  expect_bitwise_equal(serial_report, report, "clamped");
+    for (const auto layout :
+         {la::SegmentLayout::kSell, la::SegmentLayout::kDia}) {
+      const auto plan = core::SweepPlan::build(cs, layout);
+      Vec want;
+      core::MulticolorMStepSsor(plan, alphas).apply(r, want);
+      for (const int threads : {1, 2, 4, 7}) {
+        par::ThreadPool pool(threads);
+        const core::MulticolorMStepSsor threaded(plan, alphas, nullptr,
+                                                 &pool);
+        Vec got;
+        threaded.apply(r, got);
+        threaded.apply(r, got);  // scratch reuse across applies
+        ASSERT_EQ(want, got) << spec << " " << la::to_string(layout)
+                             << " threads=" << threads;
+      }
+    }
+  }
 }
 
-// Natural ordering has no color blocks to cut: the backend never engages
-// and the report says so, rather than throwing or silently mis-sharding.
-TEST(ShardedSolve, NaturalOrderingIsNeverSharded) {
+// ---- the strip rule ---------------------------------------------------------
+
+// strip(k, t) hands window w to strip w * t / W (the equal-strip rule),
+// so the strips of a class concatenate to its parts and rows in order,
+// differ in size by at most one window, and strip k's neg_sums write
+// exactly its own row range — which is what lets one dispatch per class
+// sum and then update the same rows.
+TEST(SweepStrips, EqualWindowStripsPartitionEveryClass) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=8");
-  SolverConfig cfg;
-  cfg.ordering = Ordering::kNatural;
-  cfg.steps = 2;
-  cfg.execution.shards = 4;
-  const auto report = Solver::from_config(cfg).solve(p.matrix, p.rhs);
-  ASSERT_TRUE(report.converged());
-  ASSERT_EQ(report.shards, 0);
+      problems::ProblemRegistry::instance().create("femplate:a=16");
+  const color::ColoredSystem cs = colored(p);
+  const color::RowSplits splits = color::compute_row_splits(cs);
+  util::Rng rng(9);
+  const Vec x = rng.uniform_vector(cs.size());
+
+  for (const auto layout :
+       {la::SegmentLayout::kSell, la::SegmentLayout::kDia}) {
+    for (int c = 0; c < cs.num_classes(); ++c) {
+      const index_t rb = cs.class_start[c];
+      const index_t re = cs.class_start[c + 1];
+      const la::ClassSegments segs = la::ClassSegments::build(
+          layout, cs.matrix, cs.matrix.row_ptr().data(), splits.lo_end.data(),
+          rb, re);
+      ASSERT_EQ(segs.row_begin(), rb);
+      ASSERT_EQ(segs.row_end(), re);
+      // Window size as the layout defines it: one row, or one sigma window.
+      const index_t window = layout == la::SegmentLayout::kDia
+                                 ? 1
+                                 : la::SellMatrix::kDefaultSigma;
+      const index_t windows = (re - rb + window - 1) / window;
+
+      for (const index_t t : {1, 2, 3, 4, 7, 64}) {
+        const std::string what = std::string(la::to_string(layout)) +
+                                 " class " + std::to_string(c) +
+                                 " strips=" + std::to_string(t);
+        index_t part = 0;
+        index_t row = rb;
+        for (index_t k = 0; k < t; ++k) {
+          const la::ClassSegments::Strip s = segs.strip(k, t);
+          ASSERT_EQ(s.part_begin, part) << what;
+          ASSERT_EQ(s.row_begin, row) << what;
+          ASSERT_LE(s.part_begin, s.part_end) << what;
+          ASSERT_LE(s.row_begin, s.row_end) << what;
+          // Every window w of this strip satisfies w * t / W == k.
+          for (index_t w = (s.row_begin - rb) / window;
+               s.row_begin < s.row_end && w * window < s.row_end - rb; ++w) {
+            ASSERT_EQ(w * t / windows, k) << what << " window " << w;
+          }
+          const index_t strip_windows =
+              (s.row_end - s.row_begin + window - 1) / window;
+          ASSERT_LE(strip_windows, (windows + t - 1) / t) << what;
+          ASSERT_GE(strip_windows, windows / t) << what;
+
+          Vec out(cs.size(), std::numeric_limits<double>::quiet_NaN());
+          segs.neg_sums(x.data(), out.data(), s.part_begin, s.part_end);
+          for (index_t i = 0; i < cs.size(); ++i) {
+            const bool mine = i >= s.row_begin && i < s.row_end;
+            ASSERT_EQ(!std::isnan(out[i]), mine) << what << " row " << i;
+          }
+          part = s.part_end;
+          row = s.row_end;
+        }
+        ASSERT_EQ(part, segs.num_parts()) << what;
+        ASSERT_EQ(row, re) << what;
+      }
+    }
+  }
 }
 
 // ---- batched interplay ------------------------------------------------------
 
-// With shards configured and the lane count left to the engine, the
-// shards win the pool: right-hand sides run sequentially, every one
-// sharded — and bitwise the serial batch.  An explicit wide batch
-// overrides: lanes win, solves run serial kernels, reports say shards=0.
-TEST(ShardedSolve, BatchedSolvesStayBitwiseAndReportEngagement) {
+// A solver built with threads=4 also serves batches: lanes take the pool
+// and run the serial kernels, and every right-hand side keeps its serial
+// bits whether the lane count is left to the engine or requested.
+TEST(ThreadedSolve, BatchedSolvesStayBitwise) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=12");
+      problems::ProblemRegistry::instance().create("poisson2d:n=48");
 
   std::vector<Vec> bs;
-  bs.push_back(p.rhs);
   util::Rng rng(7);
-  for (int j = 1; j < 4; ++j) bs.push_back(rng.uniform_vector(p.rhs.size()));
+  for (int j = 0; j < 4; ++j) bs.push_back(rng.uniform_vector(p.rhs.size()));
 
   SolverConfig plain;
   plain.steps = 2;
@@ -150,60 +212,20 @@ TEST(ShardedSolve, BatchedSolvesStayBitwiseAndReportEngagement) {
   for (const Vec& f : bs) expected.push_back(serial.solve(f));
 
   SolverConfig cfg = plain;
-  cfg.execution.shards = 4;
+  cfg.execution.threads = 4;
   const auto prepared = Solver::from_config(cfg).prepare(p.matrix, p.classes);
 
-  // Default lanes: sharded, sequential RHSs.
-  const auto sharded = prepared.solveMany(util::Span<const Vec>(bs));
-  ASSERT_EQ(sharded.concurrency, 1);
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    ASSERT_TRUE(sharded.ok(i));
-    expect_bitwise_equal(expected[i], sharded.reports[i],
-                         "sharded batch rhs " + std::to_string(i));
-    ASSERT_EQ(sharded.reports[i].shards, 4);
+  for (const int concurrency : {0, 1, 4}) {
+    BatchConfig batch;
+    batch.concurrency = concurrency;
+    const auto got = prepared.solveMany(util::Span<const Vec>(bs), batch);
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      ASSERT_TRUE(got.ok(i));
+      expect_bitwise_equal(expected[i], got.reports[i],
+                           "concurrency=" + std::to_string(concurrency) +
+                               " rhs " + std::to_string(i));
+    }
   }
-
-  // Explicit lanes: batch wins, sharding disengages per-report.
-  BatchConfig wide;
-  wide.concurrency = 4;
-  const auto laned = prepared.solveMany(util::Span<const Vec>(bs), wide);
-  ASSERT_GT(laned.concurrency, 1);
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    ASSERT_TRUE(laned.ok(i));
-    expect_bitwise_equal(expected[i], laned.reports[i],
-                         "laned batch rhs " + std::to_string(i));
-    ASSERT_EQ(laned.reports[i].shards, 0);
-  }
-}
-
-// ---- config plumbing --------------------------------------------------------
-
-TEST(ShardedConfig, RoundTripsThroughStringAndCli) {
-  SolverConfig cfg;
-  cfg.execution.shards = 4;
-  cfg.execution.threads = 2;
-  const std::string text = cfg.to_string();
-  ASSERT_NE(text.find(";shards=4"), std::string::npos) << text;
-  const SolverConfig back = SolverConfig::from_string(text);
-  ASSERT_EQ(back.execution.shards, 4);
-  ASSERT_EQ(back, cfg);
-
-  // Not sharded (0 or 1) stays OFF the canonical string, so pre-shard
-  // config strings — and the daemon cache keys derived from them — are
-  // unchanged.
-  SolverConfig off;
-  off.execution.shards = 1;
-  ASSERT_EQ(off.to_string().find("shards"), std::string::npos);
-
-  const char* argv[] = {"prog", "--shards=3", "--m=2"};
-  const util::Cli cli(3, argv, SolverConfig::cli_flags());
-  const SolverConfig from_cli = SolverConfig::from_cli(cli);
-  ASSERT_EQ(from_cli.execution.shards, 3);
-  ASSERT_EQ(from_cli.steps, 2);
-
-  SolverConfig bad;
-  bad.execution.shards = -1;
-  ASSERT_THROW(bad.validate(), std::invalid_argument);
 }
 
 }  // namespace

@@ -105,15 +105,6 @@ TEST(DiaSweep, EveryExecutionPathGivesTheSerialBits) {
             << spec << " threads=" << threads;
       }
     }
-    for (const int shards : {2, 4}) {
-      SolverConfig cfg = base;
-      cfg.execution.shards = shards;
-      const SolveReport got = solve(cfg, s, bs[0]);
-      ASSERT_EQ(got.shards, shards) << spec;
-      expect_same_bits(want[0], got,
-                       std::string(spec) + " shards=" +
-                           std::to_string(shards));
-    }
     {
       SolverConfig cfg = base;
       cfg.batch = 4;

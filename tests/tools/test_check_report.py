@@ -32,7 +32,6 @@ REPORT = {
     "used_classes": True,
     "format_selected": "dia",
     "sweep_format": "dia",
-    "shards": 0,
     "config": "splitting=ssor;m=4;format=auto",
     "nrhs": 1,
     "concurrency": 1,

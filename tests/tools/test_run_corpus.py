@@ -40,7 +40,6 @@ STUB_DRIVER = textwrap.dedent("""\
         "used_classes": False,
         "format_selected": "dia",
         "sweep_format": "dia",
-        "shards": 0,
         "config": "splitting=%s;m=%d;format=auto" % (splitting, m),
         "nrhs": 1,
         "concurrency": 1,

@@ -30,7 +30,7 @@ import sys
 DOCUMENTED_FLAGS = [
     "problem", "matrix", "rhs", "nrhs", "out", "list", "help",
     "splitting", "m", "params", "ordering", "format", "stop", "tol",
-    "maxit", "threads", "shards", "batch", "export-matrix", "export-only",
+    "maxit", "threads", "batch", "export-matrix", "export-only",
     "trace",
 ]
 

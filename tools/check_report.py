@@ -52,7 +52,6 @@ REPORT_SCHEMA = {
     "used_classes": (bool,),
     "format_selected": (str,),
     "sweep_format": (str,),
-    "shards": (int,),
     "config": (str,),
     "nrhs": (int,),
     "concurrency": (int,),

@@ -90,13 +90,9 @@ int print_help() {
       "  --stop=<rule>      delta_inf | residual2 (default delta_inf)\n"
       "  --tol=<t>          stopping tolerance (default 1e-06)\n"
       "  --maxit=<n>        iteration cap (default 20000)\n"
-      "  --threads=<N>      kernel threads; 0 = serial, bitwise-identical\n"
+      "  --threads=<N>      kernel threads; each colour class is swept in N\n"
+      "                     row strips; 0 = serial, bitwise-identical\n"
       "                     results for any N (default 0)\n"
-      "  --shards=<N>       region shards (multicolor ordering only); each\n"
-      "                     color block is cut into N strips solved by their\n"
-      "                     own pool tasks with halo exchange — bitwise the\n"
-      "                     serial result for any N; 0 = not sharded\n"
-      "                     (default 0)\n"
       "  --batch=<N>        concurrent right-hand-side lanes; 0 = auto\n"
       "                     (default 0)\n"
       "\n"
