@@ -14,22 +14,24 @@
 
 namespace mstep::par {
 
+namespace {
+
+/// Zeroed block partials in a buffer owned by the calling thread, so one
+/// Execution serves concurrent callers without allocating when warm.  Pool
+/// workers must write through the returned reference, not a thread_local.
+std::vector<double>& reduction_partials(index_t nblocks) {
+  thread_local std::vector<double> partials;
+  partials.assign(static_cast<std::size_t>(nblocks), 0.0);
+  return partials;
+}
+
+}  // namespace
+
 Execution::Execution(int threads) {
   if (threads < 0) {
     throw std::invalid_argument("Execution: thread count must be >= 0");
   }
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-void Execution::for_range(
-    index_t begin, index_t end,
-    const std::function<void(index_t, index_t)>& body) const {
-  if (begin >= end) return;
-  if (pool_) {
-    pool_->for_range(begin, end, body);
-  } else {
-    body(begin, end);
-  }
 }
 
 double Execution::dot(const Vec& x, const Vec& y) const {
@@ -39,15 +41,15 @@ double Execution::dot(const Vec& x, const Vec& y) const {
 
   const auto block = static_cast<index_t>(la::kReductionBlock);
   const index_t nblocks = (n + block - 1) / block;
-  partials_.assign(nblocks, 0.0);
+  std::vector<double>& partials = reduction_partials(nblocks);
   pool_->for_each(0, nblocks, [&](index_t k) {
     const auto b = static_cast<std::size_t>(k) * la::kReductionBlock;
-    partials_[k] = la::detail::dot_range(
+    partials[k] = la::detail::dot_range(
         x, y, b, std::min(x.size(), b + la::kReductionBlock));
   });
   // Combine in block order — exactly la::dot's serial combination.
   double s = 0.0;
-  for (index_t k = 0; k < nblocks; ++k) s += partials_[k];
+  for (index_t k = 0; k < nblocks; ++k) s += partials[k];
   return s;
 }
 
@@ -114,16 +116,16 @@ double Execution::step_update_max(double a, const Vec& p, Vec& u) const {
   }
   const auto block = static_cast<index_t>(la::kReductionBlock);
   const index_t nblocks = (n + block - 1) / block;
-  partials_.assign(nblocks, 0.0);
+  std::vector<double>& partials = reduction_partials(nblocks);
   pool_->for_each(0, nblocks, [&](index_t k) {
     const index_t b = k * block;
     const index_t e = std::min(n, b + block);
-    partials_[k] = la::simd::step_update_max(a, p.data() + b, u.data() + b,
-                                             static_cast<std::size_t>(e - b));
+    partials[k] = la::simd::step_update_max(a, p.data() + b, u.data() + b,
+                                            static_cast<std::size_t>(e - b));
   });
   // max over blocks == max over the range: order-insensitive.
   double mx = 0.0;
-  for (index_t k = 0; k < nblocks; ++k) mx = std::max(mx, partials_[k]);
+  for (index_t k = 0; k < nblocks; ++k) mx = std::max(mx, partials[k]);
   return mx;
 }
 

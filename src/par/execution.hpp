@@ -14,9 +14,9 @@
 //  * the max-reduction of the convergence test is order-insensitive.
 //
 // A default-constructed Execution is the serial policy (no pool, no
-// threads); Execution(n) runs on n threads including the caller.  The
-// kernels themselves are not safe for concurrent use of one Execution
-// object from several threads (the reduction scratch is shared).
+// threads); Execution(n) runs on n threads including the caller.  Several
+// threads may call the kernels of one Execution at once: reduction scratch
+// belongs to the calling thread, and the pool queues their dispatches.
 #pragma once
 
 #include <memory>
@@ -51,10 +51,6 @@ class Execution {
   /// The pool backing the multicolor sweep; nullptr when serial.
   [[nodiscard]] ThreadPool* pool() const { return pool_.get(); }
 
-  /// Partitioned loop: body(chunk_begin, chunk_end) over [begin, end).
-  void for_range(index_t begin, index_t end,
-                 const std::function<void(index_t, index_t)>& body) const;
-
   // ---- deterministic reductions -------------------------------------------
   [[nodiscard]] double dot(const Vec& x, const Vec& y) const;
   [[nodiscard]] double nrm2(const Vec& x) const;
@@ -85,13 +81,11 @@ class Execution {
 
  private:
   std::unique_ptr<ThreadPool> pool_;
-  mutable std::vector<double> partials_;  // reduction scratch, one per block
 };
 
 /// The process-wide serial policy, for call sites that take an optional
-/// Execution and received none.  Stateless in practice (no pool, and the
-/// reduction scratch is unused on the serial path), so sharing one
-/// instance across threads is safe.
+/// Execution and received none.  It is stateless, so sharing one instance
+/// across threads is safe.
 [[nodiscard]] const Execution& serial_execution();
 
 }  // namespace mstep::par

@@ -1,5 +1,6 @@
 #include "problems/driver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -120,6 +121,9 @@ DriverResult run_resolved(const Problem& problem,
   r.sweep_format = prepared.sweep_format();
 
   r.batch = prepared.solveMany(bs);
+  for (const auto& rep : r.batch.reports) {
+    r.threads = std::max(r.threads, rep.threads);
+  }
   r.error_messages.reserve(r.batch.size());
   for (const auto& e : r.batch.errors) {
     r.error_messages.push_back(exception_message(e));
@@ -186,6 +190,7 @@ util::Json report_json(const DriverResult& r) {
       .set("config", r.config.to_string())
       .set("nrhs", static_cast<long long>(r.batch.size()))
       .set("concurrency", r.batch.concurrency)
+      .set("threads", r.threads)
       .set("setup_seconds", r.setup_seconds)
       .set("wall_seconds", r.batch.wall_seconds)
       .set("solves_per_second", r.batch.solves_per_second())

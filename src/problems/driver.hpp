@@ -53,6 +53,7 @@ struct DriverResult {
   /// a sweep ran on a DIA operator.
   std::string sweep_format = "none";
   solver::SolverConfig config;
+  int threads = 1;  // kernel threads the solves ran on (SolveReport::threads)
   double setup_seconds = 0.0;  // prepare(): colouring + splitting + alphas
   solver::BatchReport batch;   // reports[i] belongs to right-hand side i
   std::vector<std::string> error_messages;  // per failed RHS, "" when ok

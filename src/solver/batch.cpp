@@ -1,31 +1,28 @@
-// The batched multi-RHS solve engine behind Prepared::solveMany.
+// The one solve engine: Prepared::solve is a one-lane Prepared::solveMany.
 //
 // One expensive setup — coloring, permutation, splitting parameters, alpha
 // coefficients — serves many right-hand sides (the reuse the paper's whole
-// m-step design is built around); the engine schedules the independent PCG
-// solves concurrently on the solver's shared thread pool.  Scheduling is a
-// work-stealing round-robin: each worker lane pops the next unsolved RHS
-// index off one atomic cursor, so a slow right-hand side (more iterations)
-// never stalls the rest of the batch behind a static partition.
+// m-step design is built around).  Each lane pops the next unsolved RHS off
+// one atomic cursor, so a slow right-hand side never stalls the rest of
+// the batch behind a static partition.  The lane rule lives here alone: a
+// lone lane runs on the calling thread with the kernel execution and the
+// prepare-time kernel log; several lanes run on the solver's pool with
+// serial kernels, because a pool body must not dispatch on its own pool.
 //
-// Each lane owns a scratch arena — its own SERIAL preconditioner instance
-// (mutable sweep scratch must not be shared across lanes, and a lane
-// already runs on the pool, so it has no threads to spare) plus a PcgWorkspace
-// and reorder buffers — built once before the loop, so nothing allocates
-// inside the batch loop beyond each report's solution vector.  On the
-// Algorithm-2 path a lane's preconditioner is only its y / scratch
-// vectors over the pipeline's shared sweep plan: no lane rebuilds row
-// splits, census or segments.  Because the lanes run the serial kernel
-// path, every per-RHS result is BITWISE identical to the corresponding
-// serial Prepared::solve.
+// Each lane owns a scratch arena — its own preconditioner instance
+// (mutable sweep scratch must not be shared across lanes) plus a
+// PcgWorkspace and reorder buffers — built once before the loop, so
+// nothing allocates inside the batch loop beyond each report's solution
+// vector.  On the Algorithm-2 path a lane's preconditioner is only its
+// y / scratch vectors over the pipeline's shared sweep plan.  Threaded
+// kernels are bitwise their serial twins, so every per-RHS result is
+// BITWISE identical to the corresponding serial solve.
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "core/mstep.hpp"
-#include "core/multicolor_mstep.hpp"
 #include "obs/kernel_log.hpp"
 #include "obs/trace.hpp"
 #include "solver/solver.hpp"
@@ -37,13 +34,13 @@ namespace {
 
 /// Per-lane scratch arena: everything one concurrent PCG solve mutates.
 struct Lane {
-  detail::PrecondChoice engine;  // serial preconditioner (+ its splitting)
+  detail::PrecondChoice engine;  // the lane's preconditioner (+ splitting)
   core::PcgWorkspace workspace;
-  Vec fp;  // permuted right-hand side (reused across this lane's RHSs)
-  /// Feeds the tracer's kernel census (flops/bytes counters) when tracing
-  /// is enabled at batch time; null otherwise, so the untraced hot path
-  /// keeps its no-log pcg_solve calls.
+  Vec fp, u0p;  // right-hand side and initial guess in solve ordering
+  /// Feeds the tracer's kernel census when tracing is on at batch time,
+  /// forwarding to the lane's kernel log.
   std::unique_ptr<obs::TracingKernelLog> trace_log;
+  core::KernelLog* log = nullptr;  // trace_log, else the lone lane's log
 };
 
 }  // namespace
@@ -83,8 +80,9 @@ void BatchReport::rethrow_first_error() const {
   }
 }
 
-BatchReport Prepared::solveMany(util::Span<const Vec> bs,
-                                const BatchConfig& batch) const {
+BatchReport Prepared::run_lanes(util::Span<const Vec> bs,
+                                const BatchConfig& batch,
+                                const Vec& u0) const {
   util::Timer timer;
   if (batch.concurrency < 0) {
     throw std::invalid_argument("solveMany: concurrency must be >= 0");
@@ -111,25 +109,27 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   const int lanes = std::max(
       1, std::min({want, pool_width, static_cast<int>(nrhs)}));
 
+  // The lane rule (see the file comment).
+  const index_t n = matrix_->rows();
+  const bool lone = lanes == 1;
+  const par::Execution* exec = lone ? kernel_exec() : nullptr;
+  core::KernelLog* log = lone ? log_ : nullptr;
+  const int threads = exec && n >= par::kSerialCutoff ? exec->threads() : 1;
+
   // Build one scratch arena per lane through the same selection policy as
-  // prepare(), with exec = nullptr for the serial twin (see the file
-  // comment).  The expensive setup — coloring, interval, alphas, the
+  // prepare().  The expensive setup — coloring, interval, alphas, the
   // sweep plan — is NOT redone: lanes share cs_/matrix_/op_/alphas_/sweep_
-  // read-only.
-  // The kernel census rides the same KernelLog stream the Section-4 cost
-  // model uses — one instrumentation pass.  The log pointer is non-null
-  // only when tracing is on when the batch starts, so untraced batches
-  // keep the log-free pcg_solve/sweep code paths (no virtual calls).
+  // read-only.  The kernel census rides the same KernelLog stream the
+  // Section-4 cost model uses — one instrumentation pass.
   const bool tracing = obs::Tracer::instance().enabled();
   std::vector<Lane> arena(static_cast<std::size_t>(lanes));
   for (Lane& lane : arena) {
-    if (tracing) lane.trace_log = std::make_unique<obs::TracingKernelLog>();
+    if (tracing) lane.trace_log = std::make_unique<obs::TracingKernelLog>(log);
+    lane.log = tracing ? lane.trace_log.get() : log;
     lane.engine = detail::make_preconditioner(config_, cs_.get(), *matrix_,
-                                              alphas_, lane.trace_log.get(),
-                                              nullptr, sweep_);
+                                              alphas_, lane.log, exec, sweep_);
   }
 
-  const index_t n = matrix_->rows();
   std::atomic<index_t> cursor{0};
   // Lanes on pool threads inherit the caller's correlation id, so a
   // traced daemon request keeps its id on every lane's track.
@@ -137,6 +137,13 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   auto run_lane = [&](index_t lane_id) {
     const obs::CorrelationScope correlate(trace_correlation);
     Lane& lane = arena[static_cast<std::size_t>(lane_id)];
+    // A caller-ordered vector in solve ordering; a missing or mis-sized
+    // one passes through unchanged for pcg_solve to accept or reject.
+    const auto solve_order = [&](const Vec& x, Vec& buf) -> const Vec& {
+      if (!cs_ || static_cast<index_t>(x.size()) != n) return x;
+      cs_->permute_into(x, buf);
+      return buf;
+    };
     for (;;) {
       const index_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= nrhs) return;
@@ -144,33 +151,28 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
         const Vec& f = bs[i];
         if (static_cast<index_t>(f.size()) != n) {
           throw std::invalid_argument(
-              "solveMany: right-hand side " + std::to_string(i) + " has " +
+              "solve: right-hand side " + std::to_string(i) + " has " +
               std::to_string(f.size()) + " entries, system has " +
               std::to_string(n));
         }
         SolveReport report;
-        const core::Preconditioner& precond = *lane.engine.precond;
+        report.result = core::pcg_solve(
+            *op_, solve_order(f, lane.fp), *lane.engine.precond,
+            config_.pcg_options(), lane.log, solve_order(u0, lane.u0p), exec,
+            &lane.workspace);
         if (cs_) {
-          cs_->permute_into(f, lane.fp);
-          report.result = core::pcg_solve(*op_, lane.fp, precond,
-                                          config_.pcg_options(),
-                                          lane.trace_log.get(), {},
-                                          nullptr, &lane.workspace);
           cs_->unpermute_into(report.result.solution, report.solution);
         } else {
-          report.result = core::pcg_solve(*op_, f, precond,
-                                          config_.pcg_options(),
-                                          lane.trace_log.get(), {},
-                                          nullptr, &lane.workspace);
           report.solution = report.result.solution;
         }
         report.alphas = alphas_;
         report.interval = interval_;
         report.coloring = stats_;
-        report.preconditioner_name = precond.name();
+        report.preconditioner_name = lane.engine.precond->name();
         report.steps = config_.steps;
         report.format_selected = resolved_format_;
         report.sweep_format = sweep_format();
+        report.threads = threads;
         br.reports[i] = std::move(report);  // distinct slot per RHS: no race
       } catch (...) {
         br.errors[i] = std::current_exception();
@@ -178,7 +180,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
     }
   };
 
-  if (lanes == 1 || pool == nullptr) {
+  if (lone) {
     run_lane(0);
   } else {
     // One pool job for the whole batch; the atomic cursor inside run_lane

@@ -81,9 +81,7 @@ PrecondChoice make_preconditioner(
           *cs, sweep_layout(resolve_format(config.format, matrix)));
     }
     par::ThreadPool* pool =
-        exec && exec->parallel() && matrix.rows() >= par::kSerialCutoff
-            ? exec->pool()
-            : nullptr;
+        exec && matrix.rows() >= par::kSerialCutoff ? exec->pool() : nullptr;
     choice.precond = std::make_unique<core::MulticolorMStepSsor>(
         std::move(sweep), alphas, log, pool);
     return choice;
@@ -94,8 +92,7 @@ PrecondChoice make_preconditioner(
   choice.splitting = SplittingRegistry::instance().create(
       config.splitting, matrix, config.splitting_options);
   choice.precond = std::make_unique<core::MStepPreconditioner>(
-      matrix, *choice.splitting, alphas, log,
-      exec && exec->parallel() ? exec : nullptr);
+      matrix, *choice.splitting, alphas, log, exec);
   return choice;
 }
 
@@ -202,10 +199,8 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
       p.sweep_ = core::SweepPlan::build(
           *p.cs_, detail::sweep_layout(p.resolved_format_));
     }
-    // kernel_exec() gates on threads >= 2: a pool that exists only for
-    // batch lanes leaves the single-solve path serial.  The factory is
-    // shared with the batch lanes, so a lane's operator is by construction
-    // the solve path's (m = 0 yields the identity).
+    // The instance behind preconditioner(); each solve lane builds its own
+    // through the same factory (m = 0 yields the identity).
     auto choice = detail::make_preconditioner(config_, p.cs_.get(),
                                               *p.matrix_, p.alphas_, log,
                                               p.kernel_exec(), p.sweep_);
@@ -246,21 +241,11 @@ Vec Prepared::unpermute(const Vec& x) const {
 }
 
 SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
-  const Vec fp = permute(f);
-  const Vec u0p = u0.empty() ? Vec{} : permute(u0);
-
-  SolveReport report;
-  report.result = core::pcg_solve(*op_, fp, *precond_, config_.pcg_options(),
-                                  log_, u0p, kernel_exec());
-  report.solution = unpermute(report.result.solution);
-  report.alphas = alphas_;
-  report.interval = interval_;
-  report.coloring = stats_;
-  report.preconditioner_name = precond_->name();
-  report.steps = config_.steps;
-  report.format_selected = resolved_format_;
-  report.sweep_format = sweep_format();
-  return report;
+  BatchConfig one_lane;
+  one_lane.concurrency = 1;
+  BatchReport br = run_lanes(util::Span<const Vec>(&f, 1), one_lane, u0);
+  br.rethrow_first_error();
+  return std::move(br.reports[0]);
 }
 
 }  // namespace mstep::solver

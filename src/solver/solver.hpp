@@ -60,6 +60,9 @@ struct SolveReport {
   /// when no multicolour sweep ran (natural ordering, a generic
   /// splitting, or m = 0).
   std::string sweep_format = "none";
+  /// Kernel threads this solve ran on: the pool width for a lone lane with
+  /// kernel threading on and n >= par::kSerialCutoff, else 1.
+  int threads = 1;
 
   [[nodiscard]] bool converged() const { return result.converged; }
   [[nodiscard]] int iterations() const { return result.iterations; }
@@ -83,13 +86,11 @@ namespace detail {
 /// DIA segments under a DIA operator, SELL segments otherwise.
 [[nodiscard]] la::SegmentLayout sweep_layout(MatrixFormat resolved);
 
-/// The one preconditioner-selection policy, shared by Solver::prepare (the
-/// solve path, which may thread through `exec`) and the batch engine's
-/// worker lanes (which pass exec = nullptr for the serial twin): the
-/// Algorithm-2 Conrad–Wallach sweep for multicolor SSOR(omega = 1), the
-/// generic m-step engine for every other splitting, the identity for
-/// m = 0.  Keeping the choice in one place is what guarantees a batch
-/// lane's operator is mathematically the solve path's.
+/// The one preconditioner-selection policy, shared by Solver::prepare and
+/// every solve lane (a lone lane may thread through `exec`, pool lanes pass
+/// nullptr): the Algorithm-2 Conrad–Wallach sweep for multicolor
+/// SSOR(omega = 1), the generic m-step engine for every other splitting,
+/// the identity for m = 0 — one choice, so every lane's operator is equal.
 struct PrecondChoice {
   std::unique_ptr<split::Splitting> splitting;  // set on the generic path
   std::unique_ptr<core::Preconditioner> precond;
@@ -157,8 +158,8 @@ class Solver {
   /// Instantiate the pipeline on a concrete (square, SPD) matrix.  With a
   /// multicolour ordering and no caller classes, the equations are
   /// coloured greedily from the matrix graph.  `k` must outlive the
-  /// returned object; `log` (optional) receives the kernel stream of both
-  /// preconditioner assembly-time applications and later solves.
+  /// returned object; `log` (optional) receives the kernel stream of
+  /// every later solve that runs as a lone lane (see Prepared::solveMany).
   [[nodiscard]] Prepared prepare(const la::CsrMatrix& k,
                                  core::KernelLog* log = nullptr) const;
   [[nodiscard]] Prepared prepare(const la::CsrMatrix& k,
@@ -197,22 +198,24 @@ class Solver {
 /// Reusable across right-hand sides.
 class Prepared {
  public:
-  /// Solve for one right-hand side (caller's ordering, as is `u0`).
+  /// Solve for one right-hand side (caller's ordering, as is `u0`): a
+  /// one-lane solveMany with a warm start that rethrows the lane's error.
   [[nodiscard]] SolveReport solve(const Vec& f, const Vec& u0 = {}) const;
 
-  /// Solve many independent right-hand sides concurrently, reusing this
-  /// pipeline's one coloring/splitting/alpha setup.  Work-stealing
-  /// round-robin over the RHSs on the solver's shared thread pool: each
-  /// worker lane owns a scratch arena (its own serial preconditioner
-  /// instance and PCG workspace), grabs the next unsolved RHS, and runs a
-  /// full serial-kernel PCG on it — so nothing allocates inside the batch
-  /// loop beyond each report's solution, and every per-RHS result is
-  /// BITWISE identical to the corresponding serial solve(bs[i]).  A
-  /// throwing right-hand side records its exception in the report's error
-  /// channel; the remaining RHSs still complete.  Kernel logging is
-  /// single-stream and therefore skipped in batched solves.
+  /// Solve many independent right-hand sides, reusing this pipeline's one
+  /// coloring/splitting/alpha setup.  Each lane owns a scratch arena (its
+  /// own preconditioner instance and PCG workspace) and grabs the next
+  /// unsolved RHS.  A lone lane runs on the calling thread with
+  /// kernel_exec() and the prepare-time kernel log; several lanes run on
+  /// the solver's pool with serial kernels and no kernel log (it is
+  /// single-stream).  Every per-RHS result is BITWISE identical to the
+  /// serial solve(bs[i]).  A throwing right-hand side records its
+  /// exception in the report's error channel; the remaining RHSs still
+  /// complete.  Both solve forms are safe for concurrent callers.
   [[nodiscard]] BatchReport solveMany(util::Span<const Vec> bs,
-                                      const BatchConfig& batch = {}) const;
+                                      const BatchConfig& batch = {}) const {
+    return run_lanes(bs, batch, {});
+  }
 
   /// The matrix PCG iterates on (colour-permuted when multicolour).
   [[nodiscard]] const la::CsrMatrix& matrix() const { return *matrix_; }
@@ -253,13 +256,18 @@ class Prepared {
   friend class Solver;
   Prepared() = default;
 
-  /// The execution policy for in-solve kernels: set only when the config
-  /// asked for kernel threading (threads >= 2), NOT when the pool exists
-  /// merely to serve batch lanes — `threads=0;batch=8` keeps every
-  /// individual solve on the serial kernel path.
+  /// The execution policy for a lone lane's kernels: set only when the
+  /// config asked for kernel threading (threads >= 2), NOT when the pool
+  /// exists merely to serve batch lanes — `threads=0;batch=8` keeps every
+  /// solve on the serial kernel path.
   [[nodiscard]] const par::Execution* kernel_exec() const {
     return config_.execution.resolve() > 0 ? exec_.get() : nullptr;
   }
+
+  /// The one solve body; `u0` is every right-hand side's initial guess.
+  [[nodiscard]] BatchReport run_lanes(util::Span<const Vec> bs,
+                                      const BatchConfig& batch,
+                                      const Vec& u0) const;
 
   SolverConfig config_;
   // cs_ and the format-specific matrices live on the heap so every
@@ -272,7 +280,7 @@ class Prepared {
   std::unique_ptr<la::LinearOperator> op_;
   std::unique_ptr<split::Splitting> splitting_;
   std::shared_ptr<const core::SweepPlan> sweep_;  // set on the sweep path
-  std::unique_ptr<core::Preconditioner> precond_;
+  std::unique_ptr<core::Preconditioner> precond_;  // no solve runs on it
   // Shared with the creating Solver (and its other Prepared instances):
   // one pool, warm across steps and right-hand sides.
   std::shared_ptr<par::Execution> exec_;

@@ -195,6 +195,25 @@ TEST(SolveMany, ExceptionInOneRhsLeavesOtherReportsIntact) {
   expect_bitwise_equal(serial.solve(bs[2]), br.reports[2], "surviving rhs 2");
 }
 
+// Prepared::solve is a one-lane solveMany that rethrows the lane's error:
+// a mis-sized right-hand side or initial guess throws on a coloured
+// pipeline, and a warm start from the solution stops at once.
+TEST(SolveMany, SolveRethrowsBadSizesAndTakesAWarmStart) {
+  const Plate p = make_plate(12);
+  SolverConfig cfg;
+  cfg.tolerance = 1e-8;
+  const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
+  const Vec short_vec(p.f.size() - 3, 1.0);
+  EXPECT_THROW((void)prepared.solve(short_vec), std::invalid_argument);
+  EXPECT_THROW((void)prepared.solve(p.f, short_vec), std::invalid_argument);
+
+  const SolveReport cold = prepared.solve(p.f);
+  ASSERT_TRUE(cold.converged());
+  const SolveReport warm = prepared.solve(p.f, cold.solution);
+  ASSERT_TRUE(warm.converged());
+  EXPECT_LT(warm.iterations(), cold.iterations());
+}
+
 TEST(SolveMany, EmptyBatchAndBadConcurrency) {
   const Plate p = make_plate(12);
   SolverConfig cfg;

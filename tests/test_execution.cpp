@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "color/coloring.hpp"
@@ -413,6 +415,95 @@ TEST(SolverThreads, TwoCallersSolveManyOnOnePrepared) {
       expect_bitwise_equal(want[j], got[i].reports[j],
                            "call " + std::to_string(i) + " rhs " +
                                std::to_string(j));
+    }
+  }
+}
+
+// The lane rule: a lone lane — Prepared::solve or a one-RHS solveMany —
+// runs on the calling thread with the kernel threads; the lanes of a
+// multi-lane batch run serial kernels.  Reports say which ran.
+TEST(SolverThreads, LoneLaneThreadsItsKernelsAndBatchLanesDoNot) {
+  const Plate p = make_plate(36);  // 2520 equations: above kSerialCutoff
+  ASSERT_GE(p.k.rows(), kSerialCutoff);
+  solver::SolverConfig cfg;
+  cfg.tolerance = 1e-8;
+  const auto serial =
+      solver::Solver::from_config(cfg).solve(p.k, p.f, p.classes);
+  EXPECT_EQ(serial.threads, 1);
+
+  cfg.execution.threads = 4;
+  const auto prepared =
+      solver::Solver::from_config(cfg).prepare(p.k, p.classes);
+  const std::vector<Vec> one = {p.f};
+  const solver::BatchReport many =
+      prepared.solveMany(util::Span<const Vec>(one));
+  ASSERT_EQ(many.concurrency, 1);
+  ASSERT_TRUE(many.ok(0));
+  const std::vector<std::pair<std::string, solver::SolveReport>> lone = {
+      {"solveMany", many.reports[0]}, {"solve", prepared.solve(p.f)}};
+  for (const auto& [what, report] : lone) {
+    expect_bitwise_equal(serial, report, what + " threads=4");
+    EXPECT_EQ(report.threads, 4) << what;
+    EXPECT_EQ(report.preconditioner_name.rfind("parallel-", 0), 0u)
+        << what << ": " << report.preconditioner_name;
+  }
+
+  cfg.batch = 4;
+  util::Rng rng(23);
+  std::vector<Vec> bs = {p.f};
+  for (int j = 1; j < 4; ++j) bs.push_back(rng.uniform_vector(p.f.size()));
+  const solver::BatchReport batch = solver::Solver::from_config(cfg)
+                                        .prepare(p.k, p.classes)
+                                        .solveMany(util::Span<const Vec>(bs));
+  ASSERT_EQ(batch.concurrency, 4);
+  for (std::size_t j = 0; j < bs.size(); ++j) {
+    ASSERT_TRUE(batch.ok(j));
+    EXPECT_EQ(batch.reports[j].threads, 1) << "rhs " << j;
+  }
+  expect_bitwise_equal(serial, batch.reports[0], "threads=4;batch=4 rhs 0");
+}
+
+// Two threads alternate Prepared::solve and a one-RHS solveMany on ONE
+// threads=2 Prepared: both run threaded kernels and reductions on the
+// same pool at once.  Every result must keep its serial bits.
+TEST(SolverThreads, ConcurrentLoneLanesOnOnePreparedMatchSerial) {
+  const Plate p = make_plate(33);  // 2112 equations: just above kSerialCutoff
+  ASSERT_GE(p.k.rows(), kSerialCutoff);
+  util::Rng rng(29);
+  const std::vector<Vec> bs = {p.f, rng.uniform_vector(p.f.size())};
+
+  solver::SolverConfig cfg;
+  cfg.tolerance = 1e-6;
+  const auto serial = solver::Solver::from_config(cfg).prepare(p.k, p.classes);
+  std::vector<solver::SolveReport> want;
+  for (const Vec& b : bs) want.push_back(serial.solve(b));
+
+  cfg.execution.threads = 2;
+  const auto prepared =
+      solver::Solver::from_config(cfg).prepare(p.k, p.classes);
+  constexpr int kRounds = 20;
+  // got[c][2r] is caller c's solve, got[c][2r + 1] its solveMany.
+  std::vector<std::vector<solver::SolveReport>> got(
+      2, std::vector<solver::SolveReport>(2 * kRounds));
+  auto caller = [&](std::size_t c) {
+    const Vec& b = bs[c];
+    for (int r = 0; r < kRounds; ++r) {
+      got[c][2 * r] = prepared.solve(b);
+      const solver::BatchReport br =
+          prepared.solveMany(util::Span<const Vec>(&b, 1));
+      br.rethrow_first_error();
+      got[c][2 * r + 1] = br.reports[0];
+    }
+  };
+  std::thread other(caller, 1);
+  caller(0);
+  other.join();
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    for (std::size_t k = 0; k < got[c].size(); ++k) {
+      EXPECT_EQ(got[c][k].threads, 2);
+      expect_bitwise_equal(want[c], got[c][k],
+                           "caller " + std::to_string(c) + " call " +
+                               std::to_string(k));
     }
   }
 }

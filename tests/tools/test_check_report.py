@@ -1,4 +1,5 @@
-"""check_report.py: the mstep_solve report's sweep_format contract.
+"""check_report.py: the mstep_solve report's sweep_format and threads
+contracts.
 
 Runs under plain `python3 -m unittest discover -s tests/tools` (no
 pytest needed locally) and under pytest in CI's tools-test job.
@@ -35,6 +36,7 @@ REPORT = {
     "config": "splitting=ssor;m=4;format=auto",
     "nrhs": 1,
     "concurrency": 1,
+    "threads": 1,
     "setup_seconds": 0.01,
     "wall_seconds": 0.02,
     "solves_per_second": 50.0,
@@ -49,7 +51,7 @@ REPORT = {
 }
 
 
-class SweepFormatTest(unittest.TestCase):
+class ReportCase(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
         self.addCleanup(self.dir.cleanup)
@@ -69,6 +71,8 @@ class SweepFormatTest(unittest.TestCase):
             code = check_report.main([path])
         return code, err.getvalue()
 
+
+class SweepFormatTest(ReportCase):
     def test_dia_sweep_on_dia_operator_passes(self):
         self.assertEqual(self.check()[0], 0)
 
@@ -101,6 +105,32 @@ class SweepFormatTest(unittest.TestCase):
         code, err = self.check(sweep_format="csr")
         self.assertEqual(code, 1)
         self.assertIn("sweep_format", err)
+
+
+class ThreadsTest(ReportCase):
+    def test_threaded_lone_lane_passes(self):
+        self.assertEqual(self.check(threads=4, concurrency=1)[0], 0)
+
+    def test_serial_batch_lanes_pass(self):
+        self.assertEqual(
+            self.check(threads=1, concurrency=4, nrhs=4, iterations=[20] * 4,
+                       final_delta_inf=[1e-7] * 4, rhs_errors=[""] * 4)[0],
+            0)
+
+    def test_field_is_required(self):
+        code, err = self.check(threads=None)
+        self.assertEqual(code, 1)
+        self.assertIn("threads", err)
+
+    def test_threads_with_several_lanes_fails(self):
+        code, err = self.check(threads=2, concurrency=2)
+        self.assertEqual(code, 1)
+        self.assertIn("threads", err)
+
+    def test_zero_threads_fails(self):
+        code, err = self.check(threads=0)
+        self.assertEqual(code, 1)
+        self.assertIn("threads", err)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ STUB_DRIVER = textwrap.dedent("""\
         "config": "splitting=%s;m=%d;format=auto" % (splitting, m),
         "nrhs": 1,
         "concurrency": 1,
+        "threads": 1,
         "setup_seconds": 0.25,
         "wall_seconds": 0.5,
         "solves_per_second": 2.0,

@@ -55,6 +55,7 @@ REPORT_SCHEMA = {
     "config": (str,),
     "nrhs": (int,),
     "concurrency": (int,),
+    "threads": (int,),
     "setup_seconds": (int, float),
     "wall_seconds": (int, float),
     "solves_per_second": (int, float, type(None)),
@@ -242,6 +243,20 @@ def check_report_extras(report, failures):
                 f"sweep_format is '{sweep}' but format_selected is "
                 f"'{fmt}': the sweep runs on DIA segments exactly when "
                 f"the operator is DIA")
+
+
+    # threads records the kernel threads the solves ran on.  Only a lone
+    # lane threads its kernels; lanes of a multi-lane batch run serial
+    # kernels, so a report claiming both threads and lanes is wrong.
+    threads = report.get("threads")
+    lanes = report.get("concurrency")
+    if type(threads) is int and threads < 1:
+        failures.append(f"threads must be >= 1, got {threads}")
+    if (type(threads) is int and type(lanes) is int and threads > 1
+            and lanes > 1):
+        failures.append(
+            f"threads = {threads} with concurrency = {lanes}: batch lanes "
+            f"run serial kernels, only a lone lane threads")
 
 
 def check_metrics_extras(metrics, failures):

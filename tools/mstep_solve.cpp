@@ -94,7 +94,8 @@ int print_help() {
       "                     row strips; 0 = serial, bitwise-identical\n"
       "                     results for any N (default 0)\n"
       "  --batch=<N>        concurrent right-hand-side lanes; 0 = auto\n"
-      "                     (default 0)\n"
+      "                     (default 0); with more than one lane every lane\n"
+      "                     runs serial kernels (report field `threads`)\n"
       "\n"
       "output:\n"
       "  --out=<path>       write the JSON report (schema: docs/file-formats.md,\n"
@@ -102,7 +103,7 @@ int print_help() {
       "  --trace=<path>     record a Chrome trace-event JSON profile of this\n"
       "                     run (load in Perfetto / chrome://tracing; spans:\n"
       "                     prepare, solve, iteration, sweep — one track per\n"
-      "                     thread; schema checked by tools/check_trace.py).\n"
+      "                     lane; schema checked by tools/check_trace.py).\n"
       "                     MSTEP_TRACE=on enables recording without a file\n"
       "                     (see docs/observability.md)\n"
       "  --export-matrix=<path>  write the assembled system matrix in canonical\n"
@@ -187,7 +188,8 @@ int main(int argc, char** argv) {
               << " nonzero diagonals" << (r.dia_friendly ? " (DIA-friendly)" : "")
               << "\nconfig: " << r.config.to_string()
               << "\noperator format: " << r.format_selected
-              << "\nsweep format: " << r.sweep_format << '\n';
+              << "\nsweep format: " << r.sweep_format
+              << "\nkernel threads: " << r.threads << '\n';
 
     util::Table t({"rhs", "iterations", "final |du|_inf", "status"});
     for (std::size_t i = 0; i < r.batch.size(); ++i) {
