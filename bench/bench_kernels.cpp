@@ -297,10 +297,10 @@ int main(int argc, char** argv) {
           r.bytes_per_apply = 20 * traversals + 40LL * m * n;
         } else {
           r.format = "dia";
-          // Per stored diagonal element and step: v, z and the class sum
-          // (read + write); z/y/r/diag streams per step.
+          // Per stored diagonal element and step: v and z (the class sum
+          // stays in registers); z/y/r/diag streams per step.
           r.bytes_per_apply =
-              32LL * m *
+              16LL * m *
                   static_cast<long long>(prec.plan()->stored_values()) +
               40LL * m * n;
         }

@@ -24,11 +24,11 @@ std::shared_ptr<const SweepPlan> SweepPlan::build(
   plan->census_ = color::compute_class_diagonal_census(cs, plan->splits_);
 
   // Each class's strictly-lower / strictly-upper row segments, laid out
-  // once.  The sweeps sum them a whole class at a time through
-  // ClassSegments::neg_sums — vectorized ACROSS the rows of a class, which
-  // the multicolor ordering makes independent — and a threaded sweep runs
-  // the identical kernel over strips of parts, which is what keeps
-  // serial == threaded == SIMD-on == SIMD-off.
+  // once (DIA segments with their runs).  The sweeps sum and update a
+  // whole class at a time through ClassSegments::sweep — vectorized ACROSS
+  // the rows of a class, which the multicolor ordering makes independent —
+  // and a threaded sweep runs the identical kernel over strips of parts,
+  // which is what keeps serial == threaded == SIMD-on == SIMD-off.
   const auto& rp = cs.matrix.row_ptr();
   const int nc = cs.num_classes();
   plan->lower_.reserve(nc);
@@ -79,33 +79,29 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
 
   z.assign(n, 0.0);
   y_.assign(n, 0.0);
-  xl_.resize(n);  // written per class before it is read
 
   const SweepPlan& plan = *plan_;
-  const Vec& diag = plan.splits().diag;
   const index_t strips = pool_ ? pool_->threads() : 1;
-  // One class phase: body(k) for every strip k — called directly when
-  // serial, one pool dispatch otherwise.  Strips write disjoint rows.
-  auto phase = [&](const auto& body) {
-    if (strips == 1) {
-      body(index_t{0});
-      return;
-    }
-    pool_->for_each(0, strips, [&](index_t k) { body(k); });
-  };
-  // Sum strip k of a class's segments into xl, then update its rows.
-  // The last class has no upper couplings: its "saved" value for the next
-  // use must be the (empty) upper sum, not the lower sum.
-  auto update = [&](const la::ClassSegments& segs, double a, bool last) {
-    phase([&, a, last](index_t k) {
+  using Mode = la::simd::RowUpdate::Mode;
+  la::simd::RowUpdate u;
+  u.r = r.data();
+  u.diag = plan.splits().diag.data();
+  u.y = y_.data();
+  u.z = z.data();
+  // One class phase: one fused segment pass per strip — called directly
+  // when serial, one pool dispatch otherwise.  Strips write disjoint rows.
+  auto pass = [&](const la::ClassSegments& segs, Mode mode, double a) {
+    u.mode = mode;
+    u.alpha = a;
+    auto body = [&](index_t k) {
       const la::ClassSegments::Strip s = segs.strip(k, strips);
-      segs.neg_sums(z.data(), xl_.data(), s.part_begin, s.part_end);
-      for (index_t i = s.row_begin; i < s.row_end; ++i) {
-        const double x = xl_[i];
-        z[i] = (x + y_[i] + a * r[i]) / diag[i];
-        y_[i] = last ? 0.0 : x;
-      }
-    });
+      segs.sweep(z.data(), u, s.part_begin, s.part_end);
+    };
+    if (strips == 1) {
+      body(0);
+    } else {
+      pool_->for_each(0, strips, body);
+    }
   };
   auto log_class = [&](int c, bool lower) {
     if (!log_) return;
@@ -121,37 +117,29 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
     const double a = alphas_[m - s];
     // Forward half-sweep.  For class 0 this doubles as the deferred
     // backward update of the previous step (y holds its upper sums).
+    // The last class has no upper couplings: its "saved" value for the
+    // next use must be the (empty) upper sum, not the lower sum.
     for (int c = 0; c < nc; ++c) {
-      update(plan.lower(c), a, /*last=*/c == nc - 1);
+      pass(plan.lower(c), c == nc - 1 ? Mode::kSolveLast : Mode::kSolve, a);
       log_class(c, /*lower=*/true);
     }
     // Backward half-sweep over classes nc-2 .. 1.  Class nc-1 is skipped
     // (its backward value equals the forward value just computed); class 0
     // is deferred (see below).
     for (int c = nc - 2; c >= 1; --c) {
-      update(plan.upper(c), a, /*last=*/false);
+      pass(plan.upper(c), Mode::kSolve, a);
       log_class(c, /*lower=*/false);
     }
-    // Class 0: save its upper sums (scattered straight into y); the solve
-    // is deferred to the next forward pass (inner steps) or the final
-    // solve below (last step).
-    phase([&](index_t k) {
-      const la::ClassSegments& segs = plan.upper(0);
-      const la::ClassSegments::Strip st = segs.strip(k, strips);
-      segs.neg_sums(z.data(), y_.data(), st.part_begin, st.part_end);
-    });
+    // Class 0: save its upper sums in y; the solve is deferred to the next
+    // forward pass (inner steps) or the final solve below (last step).
+    pass(plan.upper(0), Mode::kSave, 0.0);
     if (log_) {
       log_->spmv_diagonals(cs_->class_size(0), plan.census().upper[0]);
       log_->end_precond_step();
     }
   }
   // Final deferred class-0 solve with alpha_0 — line (3) of Algorithm 2.
-  phase([&](index_t k) {
-    const la::ClassSegments::Strip st = plan.upper(0).strip(k, strips);
-    for (index_t i = st.row_begin; i < st.row_end; ++i) {
-      z[i] = (y_[i] + alphas_[0] * r[i]) / diag[i];
-    }
-  });
+  pass(plan.upper(0), Mode::kFinal, alphas_[0]);
   if (log_) {
     log_->vec_op(cs_->class_size(0), 2);
     log_->diag_op(cs_->class_size(0));

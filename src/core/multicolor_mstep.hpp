@@ -23,14 +23,19 @@
 // MStepPreconditioner(SsorSplitting(omega = 1)) applied to the
 // colour-permuted matrix; the tests verify the equivalence to rounding.
 //
-// Threads: given a pool of t threads, every class phase (forward,
-// backward, class-0 save, final solve) is ONE pool dispatch over t static
-// strips — strip k is the k-th equal share of the class's segment windows
-// (la::ClassSegments::strip), so it sums and then updates one contiguous
-// row range.  That is the paper's "equal distribution of each color" per
-// processor.  Because the class diagonal blocks are diagonal, rows of a
-// class read only other-class values and write only themselves: the
-// strips never race and the threaded sweep is BITWISE the serial one.
+// Each class phase (forward, backward, class-0 save, final solve) is ONE
+// fused segment pass (la::ClassSegments::sweep): a row's coupling sum is
+// formed in registers and fed straight into its update, so the sweep keeps
+// no scratch vector beside y and has no row loop of its own.
+//
+// Threads: given a pool of t threads, every class phase is ONE pool
+// dispatch over t static strips — strip k is the k-th equal share of the
+// class's segment windows (la::ClassSegments::strip), so it sums and
+// updates one contiguous row range.  That is the paper's "equal
+// distribution of each color" per processor.  Because the class diagonal
+// blocks are diagonal, rows of a class read only other-class values and
+// write only themselves: the strips never race and the threaded sweep is
+// BITWISE the serial one.
 // Serial is the same loop with one strip, called directly.
 #pragma once
 
@@ -52,7 +57,7 @@ namespace mstep::core {
 /// and every class's strictly-lower / strictly-upper coupling segments in
 /// one layout.  Built once per pipeline and shared by every sweep over it
 /// — serial, threaded, each batch lane, each daemon cache hit — which own
-/// only their y / scratch vectors.
+/// only their y vectors.
 class SweepPlan {
  public:
   /// `cs` must outlive the plan; its diagonal class blocks must be
@@ -128,8 +133,7 @@ class MulticolorMStepSsor : public Preconditioner {
   std::vector<double> alphas_;
   KernelLog* log_;
   par::ThreadPool* pool_;  // null: serial, one strip
-  mutable Vec y_;   // Conrad–Wallach auxiliary vector
-  mutable Vec xl_;  // scratch: the current class's scattered sums
+  mutable Vec y_;  // Conrad–Wallach auxiliary vector
 };
 
 }  // namespace mstep::core

@@ -3,18 +3,22 @@
 //
 // Algorithm 2 needs, per colour class and half-sweep, the negated sums of
 // each row's strictly-lower (forward) or strictly-upper (backward)
-// couplings against the current z.  Rows of a class are independent
-// (the class diagonal block is diagonal), so those sums vectorize ACROSS
-// the class.  Two layouts do that:
+// couplings against the current z, each fed at once into that row's
+// update.  Rows of a class are independent (the class diagonal block is
+// diagonal), so those sums vectorize ACROSS the class, and one fused pass
+// (sweep) forms every sum in registers and applies the update — no
+// scratch vector holds the sums.  Two layouts do that:
 //
 //  * kSell — la::SellSegments, 4-row SELL slices with column indices,
-//    summed by simd::sell_neg_slices: bitwise -row_dot per row, so the
+//    run by simd::sell_sweep_slices: bitwise -row_dot per row, so the
 //    sweep's bits match the CSR/SELL operator family;
-//  * kDia  — la::DiaSegments, one value array per class-block diagonal,
-//    summed by simd::dia_triad: no index traffic and no gathers, the
-//    paper's CYBER layout (Section 3.1).  Its sums associate differently
-//    from row_dot, so its bits differ from the SELL sweep's in the last
-//    place, as the DIA operator's already differ from CSR's.
+//  * kDia  — la::DiaSegments, one value array per class-block diagonal
+//    and the class's runs (row intervals with one set of live
+//    diagonals), run by simd::dia_sweep_rows: no index traffic, no
+//    gathers and no per-diagonal clamp, the paper's CYBER layout
+//    (Section 3.1).  Its sums associate differently from row_dot, so its
+//    bits differ from the SELL sweep's in the last place, as the DIA
+//    operator's already differ from CSR's.
 //
 // Which layout a pipeline builds follows its resolved operator format: a
 // DIA operator gets DIA segments, CSR and SELL operators SELL segments.
@@ -23,7 +27,8 @@
 //
 // The threaded sweep splits a class into strips of whole WINDOWS — one
 // row in the DIA layout, one sigma sorting window of slices in the SELL
-// layout — so a strip's parts write exactly one contiguous row range.
+// layout — so a strip's parts write exactly one contiguous row range.  A
+// DIA strip just intersects the runs: it may cut one anywhere.
 #pragma once
 
 #include <algorithm>
@@ -58,7 +63,7 @@ class ClassSegments {
   [[nodiscard]] index_t row_begin() const { return row_begin_; }
   [[nodiscard]] index_t row_end() const { return row_end_; }
 
-  /// The units neg_sums partitions: SELL slices of 4 rows, or single
+  /// The units sweep partitions: SELL slices of 4 rows, or single
   /// rows in the DIA layout.
   [[nodiscard]] index_t num_parts() const {
     return layout_ == SegmentLayout::kDia ? dia_.rows() : sell_.num_slices();
@@ -94,16 +99,27 @@ class ClassSegments {
             row_begin_ + std::min(rows, w1 * window_rows)};
   }
 
+  /// One fused Algorithm-2 pass over parts [part_begin, part_end): each
+  /// row's negated coupling sum s = -(segment . x) is formed in registers
+  /// and handed straight to `u` (see simd::RowUpdate).  Only the parts'
+  /// rows are written.  `x` is indexed by global row and may alias u.z.
+  void sweep(const double* x, const simd::RowUpdate& u, index_t part_begin,
+             index_t part_end) const {
+    if (layout_ == SegmentLayout::kDia) {
+      simd::dia_sweep_rows(dia_.view(), x, u, part_begin, part_end);
+    } else {
+      simd::sell_sweep_slices(sell_.view(), x, u, part_begin, part_end);
+    }
+  }
+
   /// out[i] = -(row i's segment . x) for every row i of parts
-  /// [part_begin, part_end), each row written once; nothing else is
-  /// touched.  `x` and `out` are indexed by global row.
+  /// [part_begin, part_end) — the kSave pass into `out`.
   void neg_sums(const double* x, double* out, index_t part_begin,
                 index_t part_end) const {
-    if (layout_ == SegmentLayout::kDia) {
-      dia_.neg_sums(x, out, part_begin, part_end);
-    } else {
-      simd::sell_neg_slices(sell_.view(), x, out, part_begin, part_end);
-    }
+    simd::RowUpdate save;
+    save.mode = simd::RowUpdate::Mode::kSave;
+    save.y = out;
+    sweep(x, save, part_begin, part_end);
   }
 
   /// Stored doubles, padding and holes included.

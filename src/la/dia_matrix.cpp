@@ -145,23 +145,38 @@ DiaSegments DiaSegments::build(const CsrMatrix& a, const index_t* seg_begin,
       m.val_[m.ptr_[d] + static_cast<std::size_t>(i - m.lo_[d])] = val[t];
     }
   }
+
+  // Runs: cut the rows wherever a live range opens or closes.  Between
+  // two cuts every diagonal is live on all rows or on none, and adjacent
+  // runs differ in the diagonal whose range the cut opens or closes.
+  std::vector<index_t> cuts{0, m.rows_};
+  cuts.insert(cuts.end(), m.lo_.begin(), m.lo_.end());
+  cuts.insert(cuts.end(), m.hi_.begin(), m.hi_.end());
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    for (std::size_t d = 0; d < m.offsets_.size(); ++d) {
+      if (m.lo_[d] <= cuts[k] && cuts[k + 1] <= m.hi_[d]) {
+        m.taps_.push_back(
+            {static_cast<std::ptrdiff_t>(m.ptr_[d]) - m.lo_[d],
+             m.offsets_[d]});
+      }
+    }
+    m.run_row_.push_back(cuts[k + 1]);
+    m.run_tap_.push_back(static_cast<index_t>(m.taps_.size()));
+  }
   return m;
 }
 
-void DiaSegments::neg_sums(const double* x, double* out, index_t local_begin,
-                           index_t local_end) const {
-  double* y = out + row_begin_;
-  const double* xr = x + row_begin_;
-  std::fill(y + local_begin, y + local_end, 0.0);
-  for (std::size_t d = 0; d < offsets_.size(); ++d) {
-    const index_t b = std::max(lo_[d], local_begin);
-    const index_t e = std::min(hi_[d], local_end);
-    if (b >= e) continue;
-    // Rebased so the triad runs over [0, e - b): y[b + i] -= v[i] *
-    // x[b + i + offset] — the same unit-stride form as DiaMatrix's SpMV.
-    simd::dia_triad(values(d) + (b - lo_[d]), xr + b, y + b, 0, e - b,
-                    offsets_[d], /*subtract=*/true);
-  }
+simd::DiaRunView DiaSegments::view() const {
+  simd::DiaRunView v;
+  v.val = val_.data();
+  v.taps = taps_.data();
+  v.run_row = run_row_.data();
+  v.run_tap = run_tap_.data();
+  v.runs = num_runs();
+  v.row_begin = row_begin_;
+  return v;
 }
 
 }  // namespace mstep::la

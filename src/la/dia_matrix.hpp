@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "la/csr_matrix.hpp"
+#include "la/simd.hpp"
 #include "la/vector.hpp"
 
 namespace mstep::la {
@@ -76,6 +77,12 @@ class DiaMatrix {
 /// there are no column indices.  A class block's offsets are a subset of
 /// the whole matrix's nonzero diagonals, so the storage of every class
 /// together never exceeds the DiaMatrix of the same matrix.
+///
+/// The build also cuts the rows into RUNS — maximal intervals with one set
+/// of live diagonals — so simd::dia_sweep_rows sums each row over exactly
+/// its live diagonals, in ascending offset order, with no per-diagonal
+/// range clamp: the fused sweep pass forms each row's sum in a register
+/// and applies the row's update at once.
 class DiaSegments {
  public:
   DiaSegments() = default;
@@ -105,13 +112,22 @@ class DiaSegments {
   /// Stored doubles, holes included.
   [[nodiscard]] std::size_t stored_values() const { return val_.size(); }
 
-  /// out[row_begin() + i] = -(sum over the diagonals of value(d, i) *
-  /// x[row_begin() + i + offset(d)]) for local rows i in [local_begin,
-  /// local_end): zeroed, then one subtract triad per diagonal in offset
-  /// order.  Each row's result depends only on that fixed order, so any
-  /// split of the rows gives the same bits.
-  void neg_sums(const double* x, double* out, index_t local_begin,
-                index_t local_end) const;
+  /// The rows cut into RUNS: maximal local row intervals over which the
+  /// set of live diagonals does not change, each with its live diagonals
+  /// in ascending offset order.  Every row lies in exactly one run, a row
+  /// with no live diagonal included.
+  [[nodiscard]] index_t num_runs() const {
+    return static_cast<index_t>(run_row_.size()) - 1;
+  }
+  [[nodiscard]] index_t run_begin(index_t k) const { return run_row_[k]; }
+  [[nodiscard]] index_t run_end(index_t k) const { return run_row_[k + 1]; }
+  [[nodiscard]] index_t run_diagonals(index_t k) const {
+    return run_tap_[k + 1] - run_tap_[k];
+  }
+
+  /// Non-owning kernel view (simd::dia_sweep_rows); valid while this
+  /// object lives.
+  [[nodiscard]] simd::DiaRunView view() const;
 
  private:
   index_t row_begin_ = 0;
@@ -121,6 +137,9 @@ class DiaSegments {
   std::vector<index_t> hi_;
   std::vector<std::size_t> ptr_;  // value offset per diagonal, +1 sentinel
   std::vector<double> val_;
+  std::vector<index_t> run_row_{0};  // run boundaries, +1 sentinel
+  std::vector<index_t> run_tap_{0};  // tap offset per run, +1 sentinel
+  std::vector<simd::DiaTap> taps_;
 };
 
 }  // namespace mstep::la

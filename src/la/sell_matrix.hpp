@@ -105,10 +105,10 @@ class SellMatrix {
 
 /// SELL-layout storage of per-row SEGMENTS of a CSR matrix: the strictly-
 /// lower / strictly-upper row parts of one colour class, which the
-/// multicolor sweeps sum through simd::sell_neg_slices.  The slice layout
-/// and kernel schedule are exactly SellMatrix's, so each scattered sum is
+/// multicolor sweeps sum through simd::sell_sweep_slices.  The slice layout
+/// and kernel schedule are exactly SellMatrix's, so each negated sum is
 /// bitwise -row_dot over that row's segment; `perm` carries GLOBAL row ids,
-/// letting the kernel write straight into row-indexed scratch.  This is
+/// letting the kernel update the row's z and y directly.  This is
 /// what turns the sweep's short per-row sums — too short for a single-row
 /// vector kernel to win — into 4-rows-at-a-time vector work, legal only
 /// because the multicolor ordering makes rows of a class independent.

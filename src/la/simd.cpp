@@ -8,6 +8,7 @@
 // time (tests flip it per-case) without affecting any result.
 #include "la/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -213,16 +214,59 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
   }
 }
 
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end) {
+namespace {
+
+/// RowUpdate's step for row g given its negated sum s (ignored by kFinal).
+void apply_row(const RowUpdate& u, index_t g, double s) {
+  switch (u.mode) {
+    case RowUpdate::Mode::kSolve:
+    case RowUpdate::Mode::kSolveLast:
+      u.z[g] = (s + u.y[g] + u.alpha * u.r[g]) / u.diag[g];
+      u.y[g] = u.mode == RowUpdate::Mode::kSolve ? s : 0.0;
+      return;
+    case RowUpdate::Mode::kSave:
+      u.y[g] = s;
+      return;
+    case RowUpdate::Mode::kFinal:
+      u.z[g] = (u.y[g] + u.alpha * u.r[g]) / u.diag[g];
+      return;
+  }
+}
+
+}  // namespace
+
+void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
+                    index_t local_begin, index_t local_end) {
+  const double* xr = x + v.row_begin;
+  index_t k = 0;
+  while (k + 1 < v.runs && v.run_row[k + 1] <= local_begin) ++k;
+  for (; k < v.runs && v.run_row[k] < local_end; ++k) {
+    const DiaTap* t0 = v.taps + v.run_tap[k];
+    const DiaTap* t1 = v.taps + v.run_tap[k + 1];
+    const index_t end = std::min(v.run_row[k + 1], local_end);
+    for (index_t i = std::max(v.run_row[k], local_begin); i < end; ++i) {
+      double sum = 0.0;
+      if (u.mode != RowUpdate::Mode::kFinal) {
+        for (const DiaTap* t = t0; t != t1; ++t) {
+          sum -= v.val[t->base + i] * xr[i + t->offset];
+        }
+      }
+      apply_row(u, v.row_begin + i, sum);
+    }
+  }
+}
+
+void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
+                       index_t slice_begin, index_t slice_end) {
   constexpr auto kC = static_cast<index_t>(kSellSlice);
+  const bool sums = u.mode != RowUpdate::Mode::kFinal;
   for (index_t sl = slice_begin; sl < slice_end; ++sl) {
     const std::size_t base = s.slice_ptr[sl];
     for (index_t r = 0; r < kC; ++r) {
       const index_t slot = sl * kC + r;
       const index_t g = s.perm[slot];
       if (g < 0) continue;
-      const index_t length = s.len[slot];
+      const index_t length = sums ? s.len[slot] : 0;
       double lane[kRowLanes] = {};
       for (index_t j = 0; j < length; ++j) {
         const std::size_t at = base + static_cast<std::size_t>(j) * kC + r;
@@ -231,7 +275,7 @@ void sell_neg_slices(const SellView& s, const double* x, double* out,
       }
       double sum = lane[0];
       for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
-      out[g] = -sum;
+      apply_row(u, g, -sum);
     }
   }
 }
@@ -308,9 +352,14 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
       sell_spmv_slices(s, x, y, slice_begin, slice_end, subtract));
 }
 
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end) {
-  MSTEP_SIMD_DISPATCH(sell_neg_slices(s, x, out, slice_begin, slice_end));
+void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
+                    index_t local_begin, index_t local_end) {
+  MSTEP_SIMD_DISPATCH(dia_sweep_rows(v, x, u, local_begin, local_end));
+}
+
+void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
+                       index_t slice_begin, index_t slice_end) {
+  MSTEP_SIMD_DISPATCH(sell_sweep_slices(s, x, u, slice_begin, slice_end));
 }
 
 #undef MSTEP_SIMD_DISPATCH

@@ -139,16 +139,68 @@ struct SellView {
 void sell_spmv_slices(const SellView& s, const double* x, double* y,
                       index_t slice_begin, index_t slice_end, bool subtract);
 
-/// Negated-sum form for the multicolor sweeps: out[perm[slot]] = -(the slot
-/// row's 8-lane sum) — bitwise `-row_dot(...)` over the stored segment,
-/// since negating the finished sum commutes with round-to-nearest.  Under
-/// CSR and SELL operators the sweeps store each colour class's strictly-
-/// lower / strictly-upper row segments as SELL slices (la::SellSegments)
-/// and scatter the sums through this kernel, vectorizing ACROSS the rows
-/// of a class — legal exactly because the multicolor ordering makes those
-/// rows independent.  (Under a DIA operator they use per-class diagonals
-/// and dia_triad instead; see la/class_segments.hpp.)
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end);
+// ---- the fused multicolor sweep pass ----------------------------------------
+
+/// Algorithm 2's per-row step, applied to row g's negated coupling sum
+/// s = -(segment . x) the moment the sum is formed — the sum itself never
+/// goes to memory.  Both paths evaluate each expression in exactly this
+/// order, with no FMA, so the sweep's bits do not depend on the path:
+///
+///   kSolve      z[g] = (s + y[g] + alpha * r[g]) / diag[g];  y[g] = s
+///   kSolveLast  the same, then y[g] = 0 (the last class has no upper sums)
+///   kSave       y[g] = s  (class 0's upper sums; its solve is deferred)
+///   kFinal      z[g] = (y[g] + alpha * r[g]) / diag[g]  — no sum is formed
+///
+/// kSave reads none of alpha, r, diag or z.
+struct RowUpdate {
+  enum class Mode { kSolve, kSolveLast, kSave, kFinal };
+  Mode mode = Mode::kSave;
+  double alpha = 0.0;
+  const double* r = nullptr;
+  const double* diag = nullptr;
+  double* y = nullptr;
+  double* z = nullptr;
+};
+
+/// One live diagonal of a DIA run: local row i reads the value
+/// val[base + i] and x[row_begin + i + offset].
+struct DiaTap {
+  std::ptrdiff_t base = 0;
+  index_t offset = 0;
+};
+
+/// Non-owning view of a colour class's diagonals cut into RUNS (see
+/// la::DiaSegments): run k covers local rows [run_row[k], run_row[k+1])
+/// and sums taps [run_tap[k], run_tap[k+1]), in ascending offset order,
+/// over every row of it — no per-diagonal clamp.
+struct DiaRunView {
+  const double* val = nullptr;
+  const DiaTap* taps = nullptr;
+  const index_t* run_row = nullptr;  // runs + 1 entries
+  const index_t* run_tap = nullptr;  // runs + 1 entries
+  index_t runs = 0;
+  index_t row_begin = 0;  // global row of local row 0
+};
+
+/// The fused sweep pass over local rows [local_begin, local_end) of a DIA
+/// class: per row s = 0, then s -= val * x[row + offset] for each tap of
+/// its run in order, then `u`.  The AVX2 path keeps s for 4 rows in one
+/// register; it executes each row's operations in the same order as the
+/// scalar twin, with mul then sub (never FMA) and a correctly rounded
+/// divide, so the bits match.  `x` may alias u.z: a class reads only
+/// other classes' rows.
+void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
+                    index_t local_begin, index_t local_end);
+
+/// The same fused pass over SELL slices [slice_begin, slice_end): for each
+/// real slot, s = -(the slot row's 8-lane sum) — bitwise `-row_dot(...)`
+/// over the stored segment, since negating the finished sum commutes with
+/// round-to-nearest — then `u` for row perm[slot].  Under CSR and SELL
+/// operators the sweeps store each class's strictly-lower / strictly-upper
+/// row segments as SELL slices (la::SellSegments), vectorizing the sums
+/// ACROSS the rows of a class — legal exactly because the multicolor
+/// ordering makes those rows independent.
+void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
+                       index_t slice_begin, index_t slice_end);
 
 }  // namespace mstep::la::simd

@@ -352,17 +352,157 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
   }
 }
 
-void sell_neg_slices(const SellView& s, const double* x, double* out,
+namespace {
+
+using Mode = RowUpdate::Mode;
+
+/// RowUpdate's step for row g given its negated sum s (ignored by kFinal)
+/// — the portable twin's apply_row verbatim.
+inline void apply_row(const RowUpdate& u, index_t g, double s) {
+  switch (u.mode) {
+    case Mode::kSolve:
+    case Mode::kSolveLast:
+      u.z[g] = (s + u.y[g] + u.alpha * u.r[g]) / u.diag[g];
+      u.y[g] = u.mode == Mode::kSolve ? s : 0.0;
+      return;
+    case Mode::kSave:
+      u.y[g] = s;
+      return;
+    case Mode::kFinal:
+      u.z[g] = (u.y[g] + u.alpha * u.r[g]) / u.diag[g];
+      return;
+  }
+}
+
+/// RowUpdate's step for rows g .. g+3, whose negated sums are in s.
+template <Mode M>
+inline void apply_rows4(const RowUpdate& u, __m256d alpha, index_t g,
+                        __m256d s) {
+  if constexpr (M == Mode::kSave) {
+    _mm256_storeu_pd(u.y + g, s);
+  } else {
+    const __m256d ar = _mm256_mul_pd(alpha, _mm256_loadu_pd(u.r + g));
+    const __m256d y = _mm256_loadu_pd(u.y + g);
+    const __m256d num = M == Mode::kFinal
+                            ? _mm256_add_pd(y, ar)
+                            : _mm256_add_pd(_mm256_add_pd(s, y), ar);
+    _mm256_storeu_pd(u.z + g,
+                     _mm256_div_pd(num, _mm256_loadu_pd(u.diag + g)));
+    if constexpr (M == Mode::kSolve) _mm256_storeu_pd(u.y + g, s);
+    if constexpr (M == Mode::kSolveLast) {
+      _mm256_storeu_pd(u.y + g, _mm256_setzero_pd());
+    }
+  }
+}
+
+/// dia_sweep_rows for one mode.  Each 4-row block keeps its sums in one
+/// register; three blocks are in flight at a time so their subtract
+/// chains overlap.  A run's last rows that do not fill a block take the twin's
+/// scalar path.
+template <Mode M>
+void dia_sweep_mode(const DiaRunView& v, const double* x, const RowUpdate& u,
+                    index_t local_begin, index_t local_end) {
+  const double* xr = x + v.row_begin;
+  const __m256d alpha = _mm256_set1_pd(u.alpha);
+  // value * x for local rows i .. i+3 on tap t.
+  const auto term = [&](const DiaTap* t, index_t i) {
+    return _mm256_mul_pd(_mm256_loadu_pd(v.val + (t->base + i)),
+                         _mm256_loadu_pd(xr + i + t->offset));
+  };
+  index_t k = 0;
+  while (k + 1 < v.runs && v.run_row[k + 1] <= local_begin) ++k;
+  for (; k < v.runs && v.run_row[k] < local_end; ++k) {
+    const DiaTap* t0 = v.taps + v.run_tap[k];
+    const DiaTap* t1 = M == Mode::kFinal ? t0 : v.taps + v.run_tap[k + 1];
+    const index_t end = std::min(v.run_row[k + 1], local_end);
+    index_t i = std::max(v.run_row[k], local_begin);
+    for (; i + 12 <= end; i += 12) {
+      __m256d s0 = _mm256_setzero_pd();
+      __m256d s1 = _mm256_setzero_pd();
+      __m256d s2 = _mm256_setzero_pd();
+      for (const DiaTap* t = t0; t != t1; ++t) {
+        s0 = _mm256_sub_pd(s0, term(t, i));
+        s1 = _mm256_sub_pd(s1, term(t, i + 4));
+        s2 = _mm256_sub_pd(s2, term(t, i + 8));
+      }
+      apply_rows4<M>(u, alpha, v.row_begin + i, s0);
+      apply_rows4<M>(u, alpha, v.row_begin + i + 4, s1);
+      apply_rows4<M>(u, alpha, v.row_begin + i + 8, s2);
+    }
+    for (; i + 4 <= end; i += 4) {
+      __m256d sum = _mm256_setzero_pd();
+      for (const DiaTap* t = t0; t != t1; ++t) {
+        sum = _mm256_sub_pd(sum, term(t, i));
+      }
+      apply_rows4<M>(u, alpha, v.row_begin + i, sum);
+    }
+    for (; i < end; ++i) {
+      double sum = 0.0;
+      for (const DiaTap* t = t0; t != t1; ++t) {
+        sum -= v.val[t->base + i] * xr[i + t->offset];
+      }
+      apply_row(u, v.row_begin + i, sum);
+    }
+  }
+}
+
+}  // namespace
+
+void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
+                    index_t local_begin, index_t local_end) {
+  switch (u.mode) {
+    case Mode::kSolve:
+      return dia_sweep_mode<Mode::kSolve>(v, x, u, local_begin, local_end);
+    case Mode::kSolveLast:
+      return dia_sweep_mode<Mode::kSolveLast>(v, x, u, local_begin,
+                                              local_end);
+    case Mode::kSave:
+      return dia_sweep_mode<Mode::kSave>(v, x, u, local_begin, local_end);
+    case Mode::kFinal:
+      return dia_sweep_mode<Mode::kFinal>(v, x, u, local_begin, local_end);
+  }
+}
+
+namespace {
+
+template <Mode M>
+void sell_sweep_mode(const SellView& s, const double* x, const RowUpdate& u,
                      index_t slice_begin, index_t slice_end) {
   constexpr auto kC = static_cast<index_t>(kSellSlice);
+  const __m256d alpha = _mm256_set1_pd(u.alpha);
+  const __m256d sign = _mm256_set1_pd(-0.0);
   for (index_t sl = slice_begin; sl < slice_end; ++sl) {
-    double sum[kSellSlice];
-    slice_sums(s, sl, x, sum);
-    for (index_t r = 0; r < kC; ++r) {
-      const index_t g = s.perm[sl * kC + r];
-      if (g < 0) continue;
-      out[g] = -sum[r];
+    double sum[kSellSlice] = {};
+    if constexpr (M != Mode::kFinal) slice_sums(s, sl, x, sum);
+    const index_t* perm = s.perm + sl * kC;
+    const index_t g = perm[0];
+    // Slots holding four consecutive rows (the common case: the sigma
+    // sort keeps row order among equal lengths) update as one block; the
+    // sign flip is the exact negation the scalar path applies.
+    if (g >= 0 && perm[1] == g + 1 && perm[2] == g + 2 && perm[3] == g + 3) {
+      apply_rows4<M>(u, alpha, g, _mm256_xor_pd(_mm256_loadu_pd(sum), sign));
+      continue;
     }
+    for (index_t r = 0; r < kC; ++r) {
+      if (perm[r] >= 0) apply_row(u, perm[r], -sum[r]);
+    }
+  }
+}
+
+}  // namespace
+
+void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
+                       index_t slice_begin, index_t slice_end) {
+  switch (u.mode) {
+    case Mode::kSolve:
+      return sell_sweep_mode<Mode::kSolve>(s, x, u, slice_begin, slice_end);
+    case Mode::kSolveLast:
+      return sell_sweep_mode<Mode::kSolveLast>(s, x, u, slice_begin,
+                                               slice_end);
+    case Mode::kSave:
+      return sell_sweep_mode<Mode::kSave>(s, x, u, slice_begin, slice_end);
+    case Mode::kFinal:
+      return sell_sweep_mode<Mode::kFinal>(s, x, u, slice_begin, slice_end);
   }
 }
 

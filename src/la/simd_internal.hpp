@@ -36,8 +36,10 @@ void dia_triad(const double* v, const double* x, double* y, index_t lo,
                index_t hi, index_t off, bool subtract);
 void sell_spmv_slices(const SellView& s, const double* x, double* y,
                       index_t slice_begin, index_t slice_end, bool subtract);
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end);
+void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
+                    index_t local_begin, index_t local_end);
+void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
+                       index_t slice_begin, index_t slice_end);
 
 }  // namespace mstep::la::simd::avx2
 

@@ -14,7 +14,7 @@
 // PcgWorkspace and reorder buffers — built once before the loop, so
 // nothing allocates inside the batch loop beyond each report's solution
 // vector.  On the Algorithm-2 path a lane's preconditioner is only its
-// y / scratch vectors over the pipeline's shared sweep plan.  Threaded
+// y vector over the pipeline's shared sweep plan.  Threaded
 // kernels are bitwise their serial twins, so every per-RHS result is
 // BITWISE identical to the corresponding serial solve.
 #include <algorithm>

@@ -123,15 +123,18 @@ Solver Solver::from_string(const std::string& text) {
 }
 
 Prepared Solver::prepare(const la::CsrMatrix& k, core::KernelLog* log) const {
-  if (config_.ordering == Ordering::kMulticolor) {
-    return prepare(k, color::greedy_classes_from_matrix(k), log);
-  }
-  return prepare(k, color::ColorClasses{}, log);
+  return prepare_impl(k, nullptr, log);
 }
 
 Prepared Solver::prepare(const la::CsrMatrix& k,
                          const color::ColorClasses& classes,
                          core::KernelLog* log) const {
+  return prepare_impl(k, &classes, log);
+}
+
+Prepared Solver::prepare_impl(const la::CsrMatrix& k,
+                              const color::ColorClasses* classes,
+                              core::KernelLog* log) const {
   if (k.rows() != k.cols()) {
     throw std::invalid_argument("Solver: matrix must be square");
   }
@@ -145,12 +148,18 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
   {
     const obs::Span coloring_span("coloring");
     if (config_.ordering == Ordering::kMulticolor) {
-      if (classes.num_classes() == 0) {
+      color::ColorClasses greedy;
+      if (classes == nullptr) {
+        const obs::Span greedy_span("greedy");
+        greedy = color::greedy_classes_from_matrix(k);
+        classes = &greedy;
+      }
+      if (classes->num_classes() == 0) {
         throw std::invalid_argument(
             "Solver: multicolor ordering needs colour classes");
       }
       p.cs_ = std::make_unique<color::ColoredSystem>(
-          color::make_colored_system(k, classes));
+          color::make_colored_system(k, *classes));
       p.matrix_ = &p.cs_->matrix;
       p.stats_ = stats_from(*p.cs_);
     } else {

@@ -189,6 +189,12 @@ class Solver {
  private:
   explicit Solver(SolverConfig config);
 
+  /// Both prepare() overloads: null `classes` under a multicolour ordering
+  /// means colour greedily, inside the traced "coloring" phase.
+  [[nodiscard]] Prepared prepare_impl(const la::CsrMatrix& k,
+                                      const color::ColorClasses* classes,
+                                      core::KernelLog* log) const;
+
   SolverConfig config_;
   std::shared_ptr<par::Execution> exec_;  // set when execution is parallel
 };

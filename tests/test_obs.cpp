@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -286,6 +288,49 @@ TEST_F(ObsTest, TracedThreadedSolveIsBitwiseIdenticalAndEmitsSweepSpans) {
 
   const std::string json = Tracer::instance().chrome_json();
   EXPECT_NE(json.find("\"sweep\""), std::string::npos);
+}
+
+/// [ts, ts + dur) of the one exported span called `name`.
+std::pair<long long, long long> span_of(const std::string& json,
+                                        const std::string& name) {
+  const std::string key = "\"name\": \"" + name + "\"";
+  const std::size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << name;
+  EXPECT_EQ(json.find(key, at + 1), std::string::npos) << name;
+  if (at == std::string::npos) return {0, 0};
+  const std::size_t open = json.rfind('{', at);
+  const std::size_t close = json.find('}', at);
+  const std::string event = json.substr(open, close - open);
+  const auto field = [&](const char* f) {
+    const std::size_t p = event.find(std::string("\"") + f + "\":");
+    EXPECT_NE(p, std::string::npos) << name << " " << f;
+    return std::stoll(event.substr(p + std::strlen(f) + 3));
+  };
+  const long long ts = field("ts");
+  return {ts, ts + field("dur")};
+}
+
+// Greedy colouring is part of the ordering phase: on a matrix with no
+// caller classes, the `greedy` span lies inside `coloring`, which lies
+// inside `prepare`.
+TEST_F(ObsTest, GreedyColouringIsTracedInsideTheColoringSpan) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create("randspd:n=20000");
+  ASSERT_FALSE(p.has_classes());
+  Tracer::instance().set_enabled(true);
+  const auto prepared = solver::Solver::from_config(solver::SolverConfig{})
+                            .prepare(p.matrix);
+  Tracer::instance().set_enabled(false);
+  ASSERT_GE(prepared.coloring().num_classes, 2);
+
+  const std::string json = Tracer::instance().chrome_json();
+  const auto prepare = span_of(json, "prepare");
+  const auto coloring = span_of(json, "coloring");
+  const auto greedy = span_of(json, "greedy");
+  EXPECT_LE(prepare.first, coloring.first);
+  EXPECT_LE(coloring.first, greedy.first);
+  EXPECT_LE(greedy.second, coloring.second);
+  EXPECT_LE(coloring.second, prepare.second);
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "color/coloring.hpp"
+#include "core/multicolor_mstep.hpp"
+#include "la/class_segments.hpp"
 #include "la/csr_matrix.hpp"
 #include "la/sell_matrix.hpp"
 #include "la/simd.hpp"
@@ -116,6 +119,41 @@ TEST(SimdDispatch, SparseKernelsAreBitwiseAcrossPathsAndFormats) {
   EXPECT_TRUE(bitwise_equal(csr_scalar, csr_vector));
   EXPECT_TRUE(bitwise_equal(sell_scalar, sell_vector));
   EXPECT_TRUE(bitwise_equal(csr_scalar, sell_scalar));
+
+  // The fused sweep pass, in every mode and both segment layouts: one
+  // pass over each class's lower and upper segments.
+  using Mode = la::simd::RowUpdate::Mode;
+  const color::ColoredSystem cs =
+      color::make_colored_system(p.matrix, p.classes);
+  const Vec r = rng.uniform_vector(cs.size());
+  const Vec diag = rng.uniform_vector(cs.size(), 1.0, 2.0);
+  const Vec y0 = rng.uniform_vector(cs.size());
+  for (const auto layout :
+       {la::SegmentLayout::kSell, la::SegmentLayout::kDia}) {
+    const auto plan = core::SweepPlan::build(cs, layout);
+    for (const Mode mode :
+         {Mode::kSolve, Mode::kSolveLast, Mode::kSave, Mode::kFinal}) {
+      Vec y[2] = {y0, y0};
+      Vec z[2] = {x, x};
+      for (const int path : {0, 1}) {
+        const SimdModeGuard guard(path == 0 ? SimdMode::kForceScalar
+                                            : SimdMode::kForceVector);
+        const la::simd::RowUpdate u{mode, 0.75, r.data(), diag.data(),
+                                    y[path].data(), z[path].data()};
+        for (int c = 0; c < cs.num_classes(); ++c) {
+          for (const la::ClassSegments* segs :
+               {&plan->lower(c), &plan->upper(c)}) {
+            segs->sweep(z[path].data(), u, 0, segs->num_parts());
+          }
+        }
+      }
+      const std::string label = std::string(la::to_string(layout)) +
+                                " mode " +
+                                std::to_string(static_cast<int>(mode));
+      EXPECT_TRUE(bitwise_equal(y[0], y[1])) << label;
+      EXPECT_TRUE(bitwise_equal(z[0], z[1])) << label;
+    }
+  }
 }
 
 // Every splitting x every format, serial and threaded: the full PCG

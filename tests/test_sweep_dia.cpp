@@ -1,8 +1,9 @@
 // The DIA layout of the multicolor sweep's coupling segments (the paper's
 // CYBER layout, Section 3.1): bitwise determinism across every execution
 // path, agreement with the SELL layout, a brute-force check of the DIA
-// segment build, the shared sweep plan (no per-call rebuilds), the
-// reported sweep format, and pinned bits of the unchanged SELL path.
+// segment build and its runs, the fused sweep pass against the two-pass
+// sweep it replaced, the shared sweep plan (no per-call rebuilds), the
+// reported sweep format, and pinned solution bits of both layouts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -343,6 +344,170 @@ TEST(DiaSegmentsBuild, AnyPartSplitGivesTheSameSums) {
   }
 }
 
+// ---- runs and the fused pass -----------------------------------------------
+
+/// The runs of `d` partition its rows; within a run every diagonal is live
+/// on all rows or on none, the run lists exactly the live ones, and
+/// adjacent runs differ (the runs are maximal).
+void check_runs(const la::DiaSegments& d) {
+  const auto live = [&](index_t k, index_t i) {
+    return d.lo(k) <= i && i < d.hi(k);
+  };
+  ASSERT_GE(d.num_runs(), d.rows() > 0 ? 1 : 0);
+  index_t row = 0;
+  for (index_t r = 0; r < d.num_runs(); ++r) {
+    ASSERT_EQ(d.run_begin(r), row);
+    ASSERT_LT(d.run_begin(r), d.run_end(r));
+    index_t count = 0;
+    for (index_t k = 0; k < d.num_diagonals(); ++k) {
+      const bool first = live(k, d.run_begin(r));
+      for (index_t i = d.run_begin(r); i < d.run_end(r); ++i) {
+        ASSERT_EQ(live(k, i), first) << "run " << r << " diagonal " << k;
+      }
+      count += first ? 1 : 0;
+    }
+    ASSERT_EQ(d.run_diagonals(r), count) << "run " << r;
+    if (r > 0) {
+      bool differs = false;
+      for (index_t k = 0; k < d.num_diagonals(); ++k) {
+        differs |= live(k, d.run_begin(r)) != live(k, d.run_begin(r) - 1);
+      }
+      ASSERT_TRUE(differs) << "runs " << r - 1 << " and " << r;
+    }
+    row = d.run_end(r);
+  }
+  ASSERT_EQ(row, d.rows());
+}
+
+/// The sweep as it ran before the fused pass: the class's negated sums
+/// into a scratch vector — zeroed, then one subtract triad per diagonal
+/// over its live rows — and then a separate scalar row update.
+void reference_pass(const la::DiaSegments& d, const la::simd::RowUpdate& u,
+                    const Vec& x) {
+  using Mode = la::simd::RowUpdate::Mode;
+  const index_t rb = d.row_begin();
+  Vec sums(x.size(), 0.0);
+  for (index_t k = 0; k < d.num_diagonals(); ++k) {
+    la::simd::dia_triad(d.values(k), x.data() + rb + d.lo(k),
+                        sums.data() + rb + d.lo(k), 0, d.hi(k) - d.lo(k),
+                        d.offset(k), /*subtract=*/true);
+  }
+  for (index_t g = rb; g < rb + d.rows(); ++g) {
+    const double s = sums[g];
+    switch (u.mode) {
+      case Mode::kSolve:
+      case Mode::kSolveLast:
+        u.z[g] = (s + u.y[g] + u.alpha * u.r[g]) / u.diag[g];
+        u.y[g] = u.mode == Mode::kSolve ? s : 0.0;
+        break;
+      case Mode::kSave:
+        u.y[g] = s;
+        break;
+      case Mode::kFinal:
+        u.z[g] = (u.y[g] + u.alpha * u.r[g]) / u.diag[g];
+        break;
+    }
+  }
+}
+
+TEST(DiaRuns, FusedPassMatchesTheTwoPassSweepAcrossRunBoundaries) {
+  // One class of 32 rows, [16, 48), of an 80-row matrix, with staggered
+  // live ranges: runs of 1 to 12 rows, rows with no live diagonal at both
+  // ends, holes inside the ranges (absent entries and an explicit zero)
+  // and an explicit zero past a range's end, which must not widen it.
+  // Rows [48, 54) hold no entries: a class with 0 diagonals.  The kernel
+  // reads x from a vector of its own here, so columns may fall anywhere.
+  const index_t n = 80;
+  const index_t rb = 16;
+  const index_t re = 48;
+  util::Rng rng(21);
+  la::CooBuilder coo(n, n);
+  const auto put = [&](index_t i, index_t offset, double v) {
+    coo.add(rb + i, rb + i + offset, v);
+  };
+  for (index_t i = 1; i < 30; ++i) {
+    if (i != 7 && i != 8) put(i, -16, rng.uniform(0.5, 1.5));
+  }
+  for (index_t i = 2; i < 4; ++i) put(i, -9, rng.uniform(0.5, 1.5));
+  for (index_t i = 3; i < 17; ++i) put(i, -5, i == 10 ? 0.0 : rng.uniform());
+  put(18, -5, 0.0);
+  for (index_t i = 5; i < 29; ++i) put(i, 23, rng.uniform());
+  put(9, 30, rng.uniform());
+  for (index_t i = 6; i < 9; ++i) put(i, 35, rng.uniform());
+  const la::CsrMatrix a = coo.build();
+  const index_t* begin = a.row_ptr().data();
+  const index_t* end = a.row_ptr().data() + 1;
+
+  const la::ClassSegments segs =
+      la::ClassSegments::build(la::SegmentLayout::kDia, a, begin, end, rb, re);
+  const la::ClassSegments empty =
+      la::ClassSegments::build(la::SegmentLayout::kDia, a, begin, end, re, 54);
+  const la::DiaSegments& d = segs.dia();
+  ASSERT_EQ(d.num_diagonals(), 6);
+  ASSERT_EQ(empty.dia().num_diagonals(), 0);
+  ASSERT_EQ(empty.dia().num_runs(), 1);
+  check_runs(d);
+  check_runs(empty.dia());
+  // Cuts at 0 1 2 3 4 5 6 9 10 17 29 30 32.
+  ASSERT_EQ(d.num_runs(), 12);
+  EXPECT_EQ(d.run_diagonals(0), 0);   // row 0
+  EXPECT_EQ(d.run_diagonals(11), 0);  // rows 30, 31
+  EXPECT_EQ(d.run_end(1) - d.run_begin(1), 1);
+  EXPECT_EQ(d.run_end(9) - d.run_begin(9), 12);
+
+  using Mode = la::simd::RowUpdate::Mode;
+  const Vec x = rng.uniform_vector(n);
+  const Vec r = rng.uniform_vector(n);
+  const Vec diag = rng.uniform_vector(n, 1.0, 2.0);
+  const Vec y0 = rng.uniform_vector(n);
+  const Vec z0 = rng.uniform_vector(n);
+  for (const auto simd : {la::simd::SimdMode::kForceScalar,
+                          la::simd::SimdMode::kForceVector}) {
+    const la::simd::SimdModeGuard guard(simd);
+    for (const Mode mode : {Mode::kSolve, Mode::kSolveLast, Mode::kSave,
+                            Mode::kFinal}) {
+      for (const la::ClassSegments* cls : {&segs, &empty}) {
+        Vec want_y = y0, want_z = z0;
+        la::simd::RowUpdate want{mode, 0.75, r.data(), diag.data(),
+                                 want_y.data(), want_z.data()};
+        reference_pass(cls->dia(), want, x);
+        for (const index_t t : {1, 2, 3, 4, 7}) {
+          const std::string what =
+              std::string(la::simd::simd_isa()) + " mode " +
+              std::to_string(static_cast<int>(mode)) + " rows " +
+              std::to_string(cls->row_begin()) + " strips " +
+              std::to_string(t);
+          Vec y = y0, z = z0;
+          const la::simd::RowUpdate u{mode, 0.75, r.data(), diag.data(),
+                                      y.data(), z.data()};
+          for (index_t k = 0; k < t; ++k) {
+            const la::ClassSegments::Strip st = cls->strip(k, t);
+            cls->sweep(x.data(), u, st.part_begin, st.part_end);
+          }
+          ASSERT_EQ(0, std::memcmp(y.data(), want_y.data(), n * sizeof(double)))
+              << what;
+          ASSERT_EQ(0, std::memcmp(z.data(), want_z.data(), n * sizeof(double)))
+              << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(DiaRuns, CatalogSegmentsAreCutIntoMaximalRuns) {
+  for (const char* spec : kSystems) {
+    SCOPED_TRACE(spec);
+    const System s = load(spec);
+    const color::ColoredSystem cs =
+        color::make_colored_system(s.problem.matrix, s.classes);
+    const auto plan = core::SweepPlan::build(cs, la::SegmentLayout::kDia);
+    for (int c = 0; c < cs.num_classes(); ++c) {
+      check_runs(plan->lower(c).dia());
+      check_runs(plan->upper(c).dia());
+    }
+  }
+}
+
 // ---- one plan per pipeline --------------------------------------------------
 
 TEST(SweepPlan, SolveAndSolveManyBuildNoSegments) {
@@ -427,7 +592,7 @@ TEST(SweepFormat, ReportsSayWhichSweepRan) {
   for (const SolveReport& r : batch.reports) EXPECT_EQ(r.sweep_format, "dia");
 }
 
-// ---- the SELL path is unchanged ---------------------------------------------
+// ---- pinned bits -------------------------------------------------------------
 
 std::uint64_t fnv1a(const Vec& v) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -475,6 +640,60 @@ TEST(SellSweep, CsrAndSellSolutionsKeepTheirPinnedBits) {
     EXPECT_EQ(r.iterations(), want.iterations) << want.spec;
     EXPECT_EQ(fnv1a(r.solution), want.digest)
         << want.spec << " " << solver::to_string(want.format);
+  }
+}
+
+TEST(DiaSweep, DiaSolutionsKeepTheirPinnedBits) {
+  // Digests of solutions computed by the DIA sweep when each class phase
+  // still summed its diagonals into a scratch vector and then ran a
+  // separate row update: the fused register-blocked pass must keep every
+  // bit, on every execution path.
+  struct Pinned {
+    const char* spec;
+    int iterations;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {"femplate:a=36", 48, 0x109b18241d1f6181ULL},
+      {"cyberplate:a=36", 48, 0x109b18241d1f6181ULL},
+      {"poisson2d:n=48", 15, 0x01d58080517db891ULL},
+      {"randspd:n=2500:band=8", 7, 0x86ba930fc2ce51b4ULL},
+  };
+  for (const Pinned& want : pinned) {
+    const System s = load(want.spec);
+    const index_t n = s.problem.matrix.rows();
+    ASSERT_GE(n, 2048) << want.spec;
+    util::Rng rng(7);
+    std::vector<Vec> bs;
+    for (int i = 0; i < 4; ++i) bs.push_back(rng.uniform_vector(n));
+    const auto check = [&](const SolveReport& r, const std::string& what) {
+      EXPECT_EQ(r.sweep_format, "dia") << what;
+      EXPECT_EQ(r.iterations(), want.iterations) << what;
+      EXPECT_EQ(fnv1a(r.solution), want.digest) << what;
+    };
+    for (const auto mode : {la::simd::SimdMode::kForceScalar,
+                            la::simd::SimdMode::kForceVector}) {
+      const la::simd::SimdModeGuard guard(mode);
+      const std::string path = std::string(want.spec) + " simd=" +
+                               la::simd::simd_isa();
+      for (const int threads : {1, 4}) {
+        SolverConfig cfg = config(MatrixFormat::kDia);
+        cfg.execution.threads = threads;
+        const SolveReport r = solve(cfg, s, bs[0]);
+        if (threads == 4) {
+          EXPECT_EQ(r.preconditioner_name.rfind("parallel-", 0), 0u) << path;
+        }
+        check(r, path + " threads=" + std::to_string(threads));
+      }
+      SolverConfig cfg = config(MatrixFormat::kDia);
+      cfg.batch = 4;
+      const solver::BatchReport batch =
+          Solver::from_config(cfg)
+              .prepare(s.problem.matrix, s.classes)
+              .solveMany(util::Span<const Vec>(bs.data(), bs.size()));
+      ASSERT_EQ(batch.num_failed(), 0u) << path;
+      check(batch.reports[0], path + " batch=4");
+    }
   }
 }
 
