@@ -15,16 +15,25 @@ std::atomic<long long> g_plan_builds{0};
 }  // namespace
 
 std::shared_ptr<const SweepPlan> SweepPlan::build(
-    const color::ColoredSystem& cs, la::SegmentLayout layout) {
+    const color::ColoredSystem& cs, la::SegmentLayout layout,
+    std::shared_ptr<const la::DiaMatrix> dia) {
+  const bool dia_layout = layout == la::SegmentLayout::kDia;
+  if (dia && (!dia_layout || dia->rows() != cs.size())) {
+    throw std::invalid_argument("SweepPlan: DiaMatrix of another layout/size");
+  }
+  if (dia_layout && !dia) {
+    dia = std::make_shared<la::DiaMatrix>(la::DiaMatrix::from_csr(cs.matrix));
+  }
   g_plan_builds.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<SweepPlan> plan(new SweepPlan());
   plan->cs_ = &cs;
   plan->layout_ = layout;
   plan->splits_ = color::compute_row_splits(cs);
   plan->census_ = color::compute_class_diagonal_census(cs, plan->splits_);
+  plan->dia_ = std::move(dia);
 
   // Each class's strictly-lower / strictly-upper row segments, laid out
-  // once (DIA segments with their runs).  The sweeps sum and update a
+  // once (DIA runs and taps over dia_).  The sweeps sum and update a
   // whole class at a time through ClassSegments::sweep — vectorized ACROSS
   // the rows of a class, which the multicolor ordering makes independent —
   // and a threaded sweep runs the identical kernel over strips of parts,
@@ -35,11 +44,11 @@ std::shared_ptr<const SweepPlan> SweepPlan::build(
   plan->upper_.reserve(nc);
   for (int c = 0; c < nc; ++c) {
     plan->lower_.push_back(la::ClassSegments::build(
-        layout, cs.matrix, rp.data(), plan->splits_.lo_end.data(),
-        cs.class_start[c], cs.class_start[c + 1]));
+        cs.matrix, rp.data(), plan->splits_.lo_end.data(), cs.class_start[c],
+        cs.class_start[c + 1], plan->dia_.get()));
     plan->upper_.push_back(la::ClassSegments::build(
-        layout, cs.matrix, plan->splits_.up_begin.data(), rp.data() + 1,
-        cs.class_start[c], cs.class_start[c + 1]));
+        cs.matrix, plan->splits_.up_begin.data(), rp.data() + 1,
+        cs.class_start[c], cs.class_start[c + 1], plan->dia_.get()));
   }
   return plan;
 }

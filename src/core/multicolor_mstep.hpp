@@ -57,13 +57,16 @@ namespace mstep::core {
 /// and every class's strictly-lower / strictly-upper coupling segments in
 /// one layout.  Built once per pipeline and shared by every sweep over it
 /// — serial, threaded, each batch lane, each daemon cache hit — which own
-/// only their y vectors.
+/// only their y vectors.  DIA segments index a DiaMatrix shared with the
+/// pipeline's DIA operator: one copy of the values serves both.
 class SweepPlan {
  public:
   /// `cs` must outlive the plan; its diagonal class blocks must be
-  /// diagonal (throws std::invalid_argument otherwise).
+  /// diagonal (throws std::invalid_argument otherwise).  Under kDia the
+  /// segments index `dia`, the DiaMatrix of cs.matrix, built when null.
   [[nodiscard]] static std::shared_ptr<const SweepPlan> build(
-      const color::ColoredSystem& cs, la::SegmentLayout layout);
+      const color::ColoredSystem& cs, la::SegmentLayout layout,
+      std::shared_ptr<const la::DiaMatrix> dia = nullptr);
 
   [[nodiscard]] const color::ColoredSystem& system() const { return *cs_; }
   [[nodiscard]] la::SegmentLayout layout() const { return layout_; }
@@ -77,7 +80,11 @@ class SweepPlan {
   [[nodiscard]] const la::ClassSegments& upper(int c) const {
     return upper_[c];
   }
-  /// Stored doubles over every class's segments.
+  /// The diagonals the DIA segments read (null under kSell).
+  [[nodiscard]] const std::shared_ptr<const la::DiaMatrix>& dia() const {
+    return dia_;
+  }
+  /// Doubles one pass over every class's segments reads.
   [[nodiscard]] std::size_t stored_values() const;
 
   /// Plans built so far in this process — lets tests prove that a solve
@@ -91,6 +98,7 @@ class SweepPlan {
   la::SegmentLayout layout_ = la::SegmentLayout::kSell;
   color::RowSplits splits_;
   color::ClassDiagonalCensus census_;
+  std::shared_ptr<const la::DiaMatrix> dia_;  // set under kDia
   std::vector<la::ClassSegments> lower_;
   std::vector<la::ClassSegments> upper_;
 };

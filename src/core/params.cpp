@@ -81,6 +81,12 @@ std::vector<double> minmax_alphas(int m, SpectrumInterval iv,
   if (iv.lambda_min < 0.0 || iv.lambda_min + iv.lambda_max <= 0.0) {
     throw std::invalid_argument("minmax_alphas: need 0 <= l_min, l_max > 0");
   }
+  // l_min = 0 gives mu_0 = 1, so s = 1 - T_m(mu) vanishes inside for m >= 2.
+  if (m >= 2 && iv.lambda_min <= 0.0) {
+    throw std::invalid_argument(
+        "minmax_alphas: m >= 2 needs l_min > 0, else M_m is singular; pass "
+        "a measured interval=<l_min>,<l_max> or use params=lsq");
+  }
   // mu(lambda) = (l_max + l_min - 2 lambda) / (l_max - l_min);
   // s(lambda) = 1 - T_m(mu(lambda)) / T_m(mu_0) with mu_0 = mu(0).
   const double a = iv.lambda_min;

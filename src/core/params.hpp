@@ -53,7 +53,8 @@ struct SpectrumInterval {
 
 /// Min-max (Chebyshev) parameters: s(lambda) = 1 - T_m(mu(lambda))/T_m(mu_0)
 /// equioscillates on the interval; requires lambda_min >= 0 and, for a
-/// well-defined T_m(mu_0), lambda_min + lambda_max > 0.
+/// well-defined T_m(mu_0), lambda_min + lambda_max > 0; for m >= 2,
+/// lambda_min > 0 (else M_m is singular).
 [[nodiscard]] std::vector<double> minmax_alphas(int m, SpectrumInterval iv,
                                                 bool normalize_alpha0 = true);
 

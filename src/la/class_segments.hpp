@@ -12,13 +12,13 @@
 //  * kSell — la::SellSegments, 4-row SELL slices with column indices,
 //    run by simd::sell_sweep_slices: bitwise -row_dot per row, so the
 //    sweep's bits match the CSR/SELL operator family;
-//  * kDia  — la::DiaSegments, one value array per class-block diagonal
-//    and the class's runs (row intervals with one set of live
-//    diagonals), run by simd::dia_sweep_rows: no index traffic, no
-//    gathers and no per-diagonal clamp, the paper's CYBER layout
-//    (Section 3.1).  Its sums associate differently from row_dot, so its
-//    bits differ from the SELL sweep's in the last place, as the DIA
-//    operator's already differ from CSR's.
+//  * kDia  — la::DiaSegments, the class's runs (row intervals with one set
+//    of live diagonals) over the operator's own la::DiaMatrix, no values
+//    copied, run by simd::dia_sweep_rows: no index traffic, no gathers
+//    and no per-diagonal clamp, the paper's CYBER layout (Section 3.1).
+//    Its sums associate differently from row_dot, so its bits differ from
+//    the SELL sweep's in the last place, as the DIA operator's already
+//    differ from CSR's.
 //
 // Which layout a pipeline builds follows its resolved operator format: a
 // DIA operator gets DIA segments, CSR and SELL operators SELL segments.
@@ -49,15 +49,16 @@ class ClassSegments {
  public:
   ClassSegments() = default;
 
-  /// Rows [row_begin, row_end) of `a` in `layout`, row i contributing its
-  /// CSR entries [seg_begin[i], seg_end[i]) (arrays indexed by global row
-  /// id).  Only the requested layout is built.
-  [[nodiscard]] static ClassSegments build(SegmentLayout layout,
-                                           const CsrMatrix& a,
+  /// Rows [row_begin, row_end) of `a`, row i contributing its CSR entries
+  /// [seg_begin[i], seg_end[i]) (arrays indexed by global row id): DIA
+  /// segments over `dia` (DiaMatrix::from_csr(a), which must outlive
+  /// them) when given, else SELL segments.
+  [[nodiscard]] static ClassSegments build(const CsrMatrix& a,
                                            const index_t* seg_begin,
                                            const index_t* seg_end,
                                            index_t row_begin,
-                                           index_t row_end);
+                                           index_t row_end,
+                                           const DiaMatrix* dia = nullptr);
 
   [[nodiscard]] SegmentLayout layout() const { return layout_; }
   [[nodiscard]] index_t row_begin() const { return row_begin_; }
@@ -122,7 +123,7 @@ class ClassSegments {
     sweep(x, save, part_begin, part_end);
   }
 
-  /// Stored doubles, padding and holes included.
+  /// Doubles one pass reads, padding and holes included.
   [[nodiscard]] std::size_t stored_values() const {
     return layout_ == SegmentLayout::kDia ? dia_.stored_values()
                                           : sell_.stored_values();

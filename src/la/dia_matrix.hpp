@@ -7,8 +7,11 @@
 // short sequence of long vector triads — exactly what a memory-to-memory
 // pipeline machine wants.  On modern CPUs the same layout is a unit-stride,
 // branch-free kernel; bench_kernels compares it against CSR.
+// The multicolour sweep's class segments (DiaSegments) read the same
+// diagonals in place: one copy of the values serves SpMV and sweep.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "la/csr_matrix.hpp"
@@ -44,10 +47,9 @@ class DiaMatrix {
   [[nodiscard]] const std::vector<index_t>& offsets() const {
     return offsets_;
   }
-  /// diagonals()[d][i] = A(i, i + offsets()[d]); full length n per diagonal.
-  [[nodiscard]] const std::vector<std::vector<double>>& diagonals() const {
-    return diag_;
-  }
+  /// Every diagonal in one array: values()[d * rows() + i] =
+  /// A(i, i + offsets()[d]).
+  [[nodiscard]] const std::vector<double>& values() const { return val_; }
 
   /// y = A x
   void multiply(const Vec& x, Vec& y) const;
@@ -55,28 +57,30 @@ class DiaMatrix {
   /// y = y - A x
   void multiply_sub(const Vec& x, Vec& y) const;
 
+  /// Rows [row_begin, row_end) of y = A x, or of y -= A x when
+  /// `subtract`.  Each element sums the diagonals in offset order, so any
+  /// partition of the rows gives the bits of one whole-range call.
+  void multiply_rows(const double* x, double* y, index_t row_begin,
+                     index_t row_end, bool subtract) const;
+
   /// Total stored doubles (n per diagonal) — the storage cost of the
   /// scheme, reported by the kernel bench.
-  [[nodiscard]] std::size_t stored_values() const {
-    return offsets_.size() * static_cast<std::size_t>(n_);
-  }
+  [[nodiscard]] std::size_t stored_values() const { return val_.size(); }
 
  private:
   index_t n_ = 0;
-  std::vector<index_t> offsets_;          // sorted diagonal offsets
-  std::vector<std::vector<double>> diag_;  // diag_[d][i] = A(i, i+offset_d)
+  std::vector<index_t> offsets_;  // sorted diagonal offsets
+  std::vector<double> val_;       // val_[d * n_ + i] = A(i, i + offsets_[d])
 };
 
-/// Diagonal storage of per-row SEGMENTS of a CSR matrix: the strictly-
-/// lower / strictly-upper couplings of one colour class, the layout the
-/// paper's CYBER sweep runs on (Section 3.1).  Within a class, the
-/// couplings to the other classes lie on a few long diagonals; each
-/// distinct offset k = column - row is stored once, as the values of its
-/// live row range [lo, hi) (class-local rows, first to last row holding
-/// a nonzero on it, holes stored as 0).  Explicit zeros are dropped and
-/// there are no column indices.  A class block's offsets are a subset of
-/// the whole matrix's nonzero diagonals, so the storage of every class
-/// together never exceeds the DiaMatrix of the same matrix.
+/// Per-row SEGMENTS of a CSR matrix indexed as diagonals of its DiaMatrix:
+/// the strictly-lower / strictly-upper couplings of one colour class, the
+/// layout the paper's CYBER sweep runs on (Section 3.1).  Within a class,
+/// the couplings to the other classes lie on a few long diagonals; each
+/// distinct offset k = column - row keeps its live row range [lo, hi)
+/// (class-local rows, first to last row holding a nonzero on it) and reads
+/// its values in place from the DiaMatrix, holes as its stored zeros.  No
+/// value is copied: the segments hold only offsets, ranges and runs.
 ///
 /// The build also cuts the rows into RUNS — maximal intervals with one set
 /// of live diagonals — so simd::dia_sweep_rows sums each row over exactly
@@ -89,8 +93,12 @@ class DiaSegments {
 
   /// Rows [row_begin, row_end) of `a`, row i contributing its CSR entries
   /// [seg_begin[i], seg_end[i]); both arrays are indexed by global row id
-  /// (pass row_ptr().data() / the RowSplits arrays directly).
+  /// (pass row_ptr().data() / the RowSplits arrays directly).  `dia`, the
+  /// DiaMatrix of `a`, must outlive the segments and hold only segment
+  /// entries on their live rows (true of a class's couplings when its
+  /// diagonal block is diagonal).  Throws if it lacks one of their offsets.
   [[nodiscard]] static DiaSegments build(const CsrMatrix& a,
+                                         const DiaMatrix& dia,
                                          const index_t* seg_begin,
                                          const index_t* seg_end,
                                          index_t row_begin, index_t row_end);
@@ -98,19 +106,19 @@ class DiaSegments {
   [[nodiscard]] index_t row_begin() const { return row_begin_; }
   [[nodiscard]] index_t rows() const { return rows_; }
   [[nodiscard]] index_t num_diagonals() const {
-    return static_cast<index_t>(offsets_.size());
+    return static_cast<index_t>(diag_.size());
   }
   /// Diagonal d couples local row i to global column row_begin() + i +
   /// offset(d); its values cover local rows [lo(d), hi(d)), value(d, i) at
-  /// values(d)[i - lo(d)].  Offsets ascend.
-  [[nodiscard]] index_t offset(index_t d) const { return offsets_[d]; }
+  /// values(d)[i - lo(d)], inside the DiaMatrix's storage.  Offsets ascend.
+  [[nodiscard]] index_t offset(index_t d) const { return diag_[d].offset; }
   [[nodiscard]] index_t lo(index_t d) const { return lo_[d]; }
   [[nodiscard]] index_t hi(index_t d) const { return hi_[d]; }
   [[nodiscard]] const double* values(index_t d) const {
-    return val_.data() + ptr_[d];
+    return val_ + diag_[d].base + lo_[d];
   }
-  /// Stored doubles, holes included.
-  [[nodiscard]] std::size_t stored_values() const { return val_.size(); }
+  /// Doubles one pass reads: every live range, holes included.
+  [[nodiscard]] std::size_t stored_values() const { return reads_; }
 
   /// The rows cut into RUNS: maximal local row intervals over which the
   /// set of live diagonals does not change, each with its live diagonals
@@ -126,19 +134,19 @@ class DiaSegments {
   }
 
   /// Non-owning kernel view (simd::dia_sweep_rows); valid while this
-  /// object lives.
+  /// object and its DiaMatrix live.
   [[nodiscard]] simd::DiaRunView view() const;
 
  private:
   index_t row_begin_ = 0;
   index_t rows_ = 0;
-  std::vector<index_t> offsets_;
+  const double* val_ = nullptr;  // the DiaMatrix's values()
+  std::size_t reads_ = 0;
+  std::vector<simd::DiaTap> diag_;  // each live diagonal as a tap
   std::vector<index_t> lo_;
   std::vector<index_t> hi_;
-  std::vector<std::size_t> ptr_;  // value offset per diagonal, +1 sentinel
-  std::vector<double> val_;
-  std::vector<index_t> run_row_{0};  // run boundaries, +1 sentinel
-  std::vector<index_t> run_tap_{0};  // tap offset per run, +1 sentinel
+  std::vector<index_t> run_row_{0};   // run boundaries, +1 sentinel
+  std::vector<index_t> run_tap_{0};   // tap offset per run, +1 sentinel
   std::vector<simd::DiaTap> taps_;
 };
 

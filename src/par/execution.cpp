@@ -130,13 +130,9 @@ double Execution::step_update_max(double a, const Vec& p, Vec& u) const {
 }
 
 void Execution::spmv(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply(x, y);
-    return;
-  }
   assert(static_cast<index_t>(x.size()) == a.cols());
   y.resize(a.rows());
-  pool_->for_range(0, a.rows(), [&](index_t b, index_t e) {
+  partitioned(a.rows(), a.rows(), [&](index_t b, index_t e) {
     la::simd::csr_spmv_rows(a.row_ptr().data(), a.col_idx().data(),
                             a.values().data(), x.data(), y.data(), b, e,
                             /*subtract=*/false);
@@ -144,13 +140,9 @@ void Execution::spmv(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
 }
 
 void Execution::spmv_sub(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply_sub(x, y);
-    return;
-  }
   assert(static_cast<index_t>(x.size()) == a.cols());
   assert(static_cast<index_t>(y.size()) == a.rows());
-  pool_->for_range(0, a.rows(), [&](index_t b, index_t e) {
+  partitioned(a.rows(), a.rows(), [&](index_t b, index_t e) {
     la::simd::csr_spmv_rows(a.row_ptr().data(), a.col_idx().data(),
                             a.values().data(), x.data(), y.data(), b, e,
                             /*subtract=*/true);
@@ -158,74 +150,34 @@ void Execution::spmv_sub(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
 }
 
 void Execution::spmv(const la::DiaMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply(x, y);
-    return;
-  }
-  const index_t n = a.rows();
-  assert(static_cast<index_t>(x.size()) == n);
-  y.assign(n, 0.0);
-  const auto& offsets = a.offsets();
-  const auto& diags = a.diagonals();
-  // Partition the element range; within a chunk, accumulate the diagonals
-  // in offset order — per element this is the serial accumulation order.
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
-    for (std::size_t d = 0; d < offsets.size(); ++d) {
-      const index_t off = offsets[d];
-      const std::vector<double>& v = diags[d];
-      const index_t lo = std::max(b, std::max<index_t>(0, -off));
-      const index_t hi = std::min(e, std::min<index_t>(n, n - off));
-      la::simd::dia_triad(v.data(), x.data(), y.data(), lo, hi, off,
-                          /*subtract=*/false);
-    }
+  assert(static_cast<index_t>(x.size()) == a.rows());
+  y.resize(a.rows());
+  partitioned(a.rows(), a.rows(), [&](index_t b, index_t e) {
+    a.multiply_rows(x.data(), y.data(), b, e, /*subtract=*/false);
   });
 }
 
 void Execution::spmv_sub(const la::DiaMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply_sub(x, y);
-    return;
-  }
-  const index_t n = a.rows();
-  assert(static_cast<index_t>(x.size()) == n);
-  assert(static_cast<index_t>(y.size()) == n);
-  const auto& offsets = a.offsets();
-  const auto& diags = a.diagonals();
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
-    for (std::size_t d = 0; d < offsets.size(); ++d) {
-      const index_t off = offsets[d];
-      const std::vector<double>& v = diags[d];
-      const index_t lo = std::max(b, std::max<index_t>(0, -off));
-      const index_t hi = std::min(e, std::min<index_t>(n, n - off));
-      la::simd::dia_triad(v.data(), x.data(), y.data(), lo, hi, off,
-                          /*subtract=*/true);
-    }
+  assert(static_cast<index_t>(x.size()) == a.rows());
+  assert(static_cast<index_t>(y.size()) == a.rows());
+  partitioned(a.rows(), a.rows(), [&](index_t b, index_t e) {
+    a.multiply_rows(x.data(), y.data(), b, e, /*subtract=*/true);
   });
 }
 
 void Execution::spmv(const la::SellMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply(x, y);
-    return;
-  }
   assert(static_cast<index_t>(x.size()) == a.cols());
-  y.resize(a.rows());
-  // Partition by slices: slices partition the rows (each row is written
-  // through exactly one slot's scatter), so chunks never race.
-  pool_->for_range(0, a.num_slices(), [&](index_t b, index_t e) {
+  y.resize(a.rows());  // every real row is written exactly once via perm
+  partitioned(a.rows(), a.num_slices(), [&](index_t b, index_t e) {
     la::simd::sell_spmv_slices(a.view(), x.data(), y.data(), b, e,
                                /*subtract=*/false);
   });
 }
 
 void Execution::spmv_sub(const la::SellMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply_sub(x, y);
-    return;
-  }
   assert(static_cast<index_t>(x.size()) == a.cols());
   assert(static_cast<index_t>(y.size()) == a.rows());
-  pool_->for_range(0, a.num_slices(), [&](index_t b, index_t e) {
+  partitioned(a.rows(), a.num_slices(), [&](index_t b, index_t e) {
     la::simd::sell_spmv_slices(a.view(), x.data(), y.data(), b, e,
                                /*subtract=*/true);
   });

@@ -80,6 +80,18 @@ class Execution {
   void spmv_sub(const la::SellMatrix& a, const Vec& x, Vec& y) const;
 
  private:
+  /// body(b, e) over parts [0, parts) — rows, or SELL slices, which
+  /// partition the rows — on the pool when there is one and the matrix
+  /// has at least kSerialCutoff rows, else in one call.
+  template <class Body>
+  void partitioned(index_t rows, index_t parts, const Body& body) const {
+    if (!pool_ || rows < kSerialCutoff) {
+      body(0, parts);
+    } else {
+      pool_->for_range(0, parts, body);
+    }
+  }
+
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -110,21 +110,22 @@ std::size_t estimate_entry_bytes(const ProblemData& problem,
            static_cast<std::size_t>(m.rows() + 1) * sizeof(index_t);
   };
   std::size_t bytes = csr_bytes(problem.matrix);
-  // The colour permutation copies the matrix (plus two index maps), and
-  // the multicolor sweep's plan keeps one copy of every row's
-  // strictly-lower and strictly-upper segments (SELL slices, or per-class
-  // diagonals under a DIA operator — together about one more matrix);
-  // the DIA layout stores rows * num_diagonals doubles and the SELL
-  // layout a padded slice copy, both bounded below by the CSR size —
-  // each estimated as one more matrix.
+  // The colour permutation copies the matrix (plus two index maps).
   if (prepared.coloring().used) {
-    bytes += 2 * csr_bytes(problem.matrix) +
+    bytes += csr_bytes(problem.matrix) +
              2 * static_cast<std::size_t>(problem.matrix.rows()) *
                  sizeof(index_t);
   }
-  if (prepared.resolved_format() == solver::MatrixFormat::kDia ||
-      prepared.resolved_format() == solver::MatrixFormat::kSell) {
-    bytes += csr_bytes(problem.matrix);
+  if (const la::DiaMatrix* dia = prepared.dia_matrix()) {
+    // The DIA operator's diagonals; a DIA sweep plan reads them in place.
+    bytes += dia->stored_values() * sizeof(double);
+  } else {
+    // A multicolour sweep plan's SELL segments and a SELL operator's
+    // padded slices: each about one more matrix.
+    if (prepared.coloring().used) bytes += csr_bytes(problem.matrix);
+    if (prepared.resolved_format() == solver::MatrixFormat::kSell) {
+      bytes += csr_bytes(problem.matrix);
+    }
   }
   bytes += problem.rhs.size() * sizeof(double);
   bytes += prepared.alphas().size() * sizeof(double);

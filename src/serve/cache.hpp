@@ -126,8 +126,9 @@ class PreparedCache {
 };
 
 /// Budget estimate for one prepared pipeline: the problem data plus the
-/// Prepared's own copies (the colour-permuted matrix when multicolour,
-/// the DIA twin when that layout was selected) plus fixed overhead.  An
+/// Prepared's own copies (the colour-permuted matrix when multicolour;
+/// the DIA operator's diagonals, which its sweep plan shares, or else the
+/// SELL sweep segments and SELL operator) plus fixed overhead.  An
 /// estimate, not an audit — documented in docs/protocol.md.
 [[nodiscard]] std::size_t estimate_entry_bytes(
     const ProblemData& problem, const solver::Prepared& prepared);

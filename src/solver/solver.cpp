@@ -177,7 +177,7 @@ Prepared Solver::prepare_impl(const la::CsrMatrix& k,
     const obs::Span probe_span("format_probe");
     p.resolved_format_ = detail::resolve_format(config_.format, *p.matrix_);
     if (p.resolved_format_ == MatrixFormat::kDia) {
-      p.dia_ = std::make_unique<la::DiaMatrix>(
+      p.dia_ = std::make_shared<const la::DiaMatrix>(
           la::DiaMatrix::from_csr(*p.matrix_));
       p.op_ = std::make_unique<la::DiaOperator>(*p.dia_);
     } else if (p.resolved_format_ == MatrixFormat::kSell) {
@@ -202,11 +202,12 @@ Prepared Solver::prepare_impl(const la::CsrMatrix& k,
           config_.params, config_.steps, p.interval_);
     }
     // The sweep's plan (row splits, census, segments in the operator's
-    // layout) is built once here and shared read-only by the solve path,
-    // every batch lane and every daemon cache hit.
+    // layout, over the DIA operator's own diagonals) is built once here
+    // and shared read-only by the solve path, every batch lane and every
+    // daemon cache hit.
     if (detail::uses_multicolor_sweep(config_, p.cs_.get())) {
       p.sweep_ = core::SweepPlan::build(
-          *p.cs_, detail::sweep_layout(p.resolved_format_));
+          *p.cs_, detail::sweep_layout(p.resolved_format_), p.dia_);
     }
     // The instance behind preconditioner(); each solve lane builds its own
     // through the same factory (m = 0 yields the identity).

@@ -242,6 +242,10 @@ class Prepared {
     return resolved_format_;
   }
 
+  /// The DIA operator's diagonals (null unless resolved_format() is
+  /// kDia); a DIA sweep plan reads the same object.
+  [[nodiscard]] const la::DiaMatrix* dia_matrix() const { return dia_.get(); }
+
   /// The multicolour sweep's shared plan (row splits, census, segments),
   /// or null when no multicolour sweep runs.  Built once in prepare();
   /// solve(), every solveMany lane and every daemon cache hit read it.
@@ -281,7 +285,7 @@ class Prepared {
   // system reference) stays valid when a Prepared is moved.
   std::unique_ptr<color::ColoredSystem> cs_;  // set when multicolour
   const la::CsrMatrix* matrix_ = nullptr;     // cs_->matrix or the caller's k
-  std::unique_ptr<la::DiaMatrix> dia_;        // set when format == dia
+  std::shared_ptr<const la::DiaMatrix> dia_;  // set when format == dia
   std::unique_ptr<la::SellMatrix> sell_;      // set when format == sell
   std::unique_ptr<la::LinearOperator> op_;
   std::unique_ptr<split::Splitting> splitting_;

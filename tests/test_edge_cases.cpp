@@ -125,6 +125,14 @@ TEST(EdgeCase, MinmaxRejectsBadIntervals) {
                std::invalid_argument);
   EXPECT_THROW((void)core::minmax_alphas(0, {0.1, 1.0}),
                std::invalid_argument);
+  // The SSOR default [0, 1]: mu_0 = 1, so s(lambda) = 1 - T_m(1 - 2 lambda)
+  // vanishes inside the interval for every m >= 2 (double roots at odd m).
+  EXPECT_NO_THROW((void)core::minmax_alphas(1, {0.0, 1.0}));
+  for (int m = 2; m <= 13; ++m) {
+    EXPECT_THROW((void)core::minmax_alphas(m, {0.0, 1.0}),
+                 std::invalid_argument)
+        << "m=" << m;
+  }
 }
 
 TEST(EdgeCase, LeastSquaresRejectsZeroSteps) {

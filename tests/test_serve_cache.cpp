@@ -302,6 +302,37 @@ TEST(PreparedCache, CachedPipelineIsBitwiseIdenticalToDirectSolve) {
   EXPECT_EQ(served.reports[0].result.final_delta_inf,
             want.reports[0].result.final_delta_inf);
   EXPECT_EQ(served.reports[0].solution, want.reports[0].solution);
+
+  // The budget estimate counts what each pipeline holds beside the
+  // problem data: the colour-permuted matrix and its two index maps, then
+  // under DIA the operator's diagonals (which the sweep plan reads in
+  // place, so no plan values), otherwise the sweep's SELL segments and a
+  // SELL operator, one matrix each.
+  const la::CsrMatrix& k = data->matrix;
+  const std::size_t csr =
+      static_cast<std::size_t>(k.nnz()) * (sizeof(double) + sizeof(index_t)) +
+      static_cast<std::size_t>(k.rows() + 1) * sizeof(index_t);
+  const std::size_t common =
+      2 * csr + 2 * static_cast<std::size_t>(k.rows()) * sizeof(index_t) +
+      data->rhs.size() * sizeof(double) + 2 * sizeof(double) + 4096;
+  const solver::Prepared& csr_pipeline = lookup.entry->prepared;
+  ASSERT_EQ(csr_pipeline.resolved_format(), solver::MatrixFormat::kCsr);
+  EXPECT_EQ(estimate_entry_bytes(*data, csr_pipeline), common + csr);
+  const solver::Prepared& dia =
+      fx.get(cache, data, config_text + ";format=dia").entry->prepared;
+  ASSERT_EQ(dia.resolved_format(), solver::MatrixFormat::kDia);
+  ASSERT_NE(dia.dia_matrix(), nullptr);
+  EXPECT_EQ(dia.sweep_plan()->dia().get(), dia.dia_matrix());
+  EXPECT_EQ(estimate_entry_bytes(*data, dia),
+            common + dia.dia_matrix()->stored_values() * sizeof(double));
+  const solver::Prepared& sell =
+      fx.get(cache, data, config_text + ";format=sell").entry->prepared;
+  ASSERT_EQ(sell.resolved_format(), solver::MatrixFormat::kSell);
+  ASSERT_EQ(sell.dia_matrix(), nullptr);
+  EXPECT_EQ(estimate_entry_bytes(*data, sell), common + 2 * csr);
+  EXPECT_EQ(cache.stats().bytes, estimate_entry_bytes(*data, csr_pipeline) +
+                                     estimate_entry_bytes(*data, dia) +
+                                     estimate_entry_bytes(*data, sell));
 }
 
 // ---- admission gate and histogram -----------------------------------------

@@ -136,6 +136,7 @@ TEST(SweepStrips, EqualWindowStripsPartitionEveryClass) {
   const color::RowSplits splits = color::compute_row_splits(cs);
   util::Rng rng(9);
   const Vec x = rng.uniform_vector(cs.size());
+  const la::DiaMatrix dia = la::DiaMatrix::from_csr(cs.matrix);
 
   for (const auto layout :
        {la::SegmentLayout::kSell, la::SegmentLayout::kDia}) {
@@ -143,8 +144,9 @@ TEST(SweepStrips, EqualWindowStripsPartitionEveryClass) {
       const index_t rb = cs.class_start[c];
       const index_t re = cs.class_start[c + 1];
       const la::ClassSegments segs = la::ClassSegments::build(
-          layout, cs.matrix, cs.matrix.row_ptr().data(), splits.lo_end.data(),
-          rb, re);
+          cs.matrix, cs.matrix.row_ptr().data(), splits.lo_end.data(), rb, re,
+          layout == la::SegmentLayout::kDia ? &dia : nullptr);
+      ASSERT_EQ(segs.layout(), layout);
       ASSERT_EQ(segs.row_begin(), rb);
       ASSERT_EQ(segs.row_end(), re);
       // Window size as the layout defines it: one row, or one sigma window.

@@ -128,8 +128,9 @@ TEST(Registry, EveryBuiltinStrategyProducesMAlphas) {
   EXPECT_NE(std::find(names.begin(), names.end(), "ones"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "lsq"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "minmax"), names.end());
-  const core::SpectrumInterval iv{0.0, 1.0};
   for (const auto& name : names) {
+    // Min-max needs l_min > 0 (see MinmaxRejectsBadIntervals).
+    const core::SpectrumInterval iv{name == "minmax" ? 0.05 : 0.0, 1.0};
     for (int m = 1; m <= 5; ++m) {
       const auto a = reg.alphas(name, m, iv);
       EXPECT_EQ(static_cast<int>(a.size()), m) << name;
@@ -263,6 +264,19 @@ TEST(Solver, NaturalOrderingJacobiAndRichardsonRun) {
     const auto report = Solver::from_string(spec).solve(k, f);
     EXPECT_TRUE(report.converged()) << spec;
     EXPECT_EQ(static_cast<int>(report.alphas.size()), report.steps) << spec;
+  }
+}
+
+TEST(Solver, SsorMinmaxNeedsAMeasuredInterval) {
+  // SSOR's default interval [0, 1] makes the min-max M_m singular, so the
+  // pipeline is refused at prepare time; a measured interval or lsq runs.
+  const Plate p = make_plate(8);
+  const Solver singular = Solver::from_string("splitting=ssor;m=4;params=minmax");
+  EXPECT_THROW((void)singular.prepare(p.k, p.classes), std::invalid_argument);
+  for (const char* spec : {"splitting=ssor;m=4;params=minmax;interval=0.01,1",
+                           "splitting=ssor;m=4;params=lsq"}) {
+    const auto report = Solver::from_string(spec).solve(p.k, p.f, p.classes);
+    EXPECT_TRUE(report.converged()) << spec;
   }
 }
 

@@ -2,14 +2,17 @@
 // CYBER layout, Section 3.1): bitwise determinism across every execution
 // path, agreement with the SELL layout, a brute-force check of the DIA
 // segment build and its runs, the fused sweep pass against the two-pass
-// sweep it replaced, the shared sweep plan (no per-call rebuilds), the
-// reported sweep format, and pinned solution bits of both layouts.
+// sweep it replaced, the shared sweep plan (no per-call rebuilds, one copy
+// of the DIA operator's diagonals), the reported sweep format, and pinned
+// solution bits of both layouts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -438,10 +441,11 @@ TEST(DiaRuns, FusedPassMatchesTheTwoPassSweepAcrossRunBoundaries) {
   const index_t* begin = a.row_ptr().data();
   const index_t* end = a.row_ptr().data() + 1;
 
+  const la::DiaMatrix dia = la::DiaMatrix::from_csr(a);
   const la::ClassSegments segs =
-      la::ClassSegments::build(la::SegmentLayout::kDia, a, begin, end, rb, re);
+      la::ClassSegments::build(a, begin, end, rb, re, &dia);
   const la::ClassSegments empty =
-      la::ClassSegments::build(la::SegmentLayout::kDia, a, begin, end, re, 54);
+      la::ClassSegments::build(a, begin, end, re, 54, &dia);
   const la::DiaSegments& d = segs.dia();
   ASSERT_EQ(d.num_diagonals(), 6);
   ASSERT_EQ(empty.dia().num_diagonals(), 0);
@@ -535,6 +539,68 @@ TEST(SweepPlan, SolveAndSolveManyBuildNoSegments) {
   EXPECT_EQ(batch.reports[0].solution, single.solution);
 }
 
+TEST(SweepPlan, DiaTapsReadTheOperatorsDiagonals) {
+  // A prepared DIA pipeline holds one DiaMatrix, the operator's: its sweep
+  // plan shares it, and every tap reads row g of the tap's own diagonal
+  // inside that storage.
+  for (const char* spec : kSystems) {
+    SCOPED_TRACE(spec);
+    const System s = load(spec);
+    const solver::Prepared prepared =
+        Solver::from_config(config(MatrixFormat::kDia))
+            .prepare(s.problem.matrix, s.classes);
+    const la::DiaMatrix* dia = prepared.dia_matrix();
+    ASSERT_NE(dia, nullptr);
+    const auto& plan = prepared.sweep_plan();
+    ASSERT_EQ(plan->dia().get(), dia);
+    const index_t n = dia->rows();
+    const auto stored = static_cast<std::ptrdiff_t>(dia->stored_values());
+    for (int c = 0; c < plan->system().num_classes(); ++c) {
+      for (const la::ClassSegments* segs : {&plan->lower(c), &plan->upper(c)}) {
+        const la::simd::DiaRunView v = segs->dia().view();
+        ASSERT_EQ(v.val, dia->values().data());
+        for (index_t k = 0; k < v.runs; ++k) {
+          for (index_t t = v.run_tap[k]; t < v.run_tap[k + 1]; ++t) {
+            for (index_t i = v.run_row[k]; i < v.run_row[k + 1]; ++i) {
+              const std::ptrdiff_t at = v.taps[t].base + i;
+              ASSERT_GE(at, 0);
+              ASSERT_LT(at, stored);
+              ASSERT_EQ(at % n, v.row_begin + i);
+              ASSERT_EQ(dia->offsets()[at / n], v.taps[t].offset);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepPlan, RejectsADiaMatrixItCannotIndex) {
+  const System s = load("femplate:a=8");
+  const color::ColoredSystem cs =
+      color::make_colored_system(s.problem.matrix, s.classes);
+  const auto own = std::make_shared<const la::DiaMatrix>(
+      la::DiaMatrix::from_csr(cs.matrix));
+  EXPECT_THROW((void)core::SweepPlan::build(cs, la::SegmentLayout::kSell, own),
+               std::invalid_argument);
+  const auto other = std::make_shared<const la::DiaMatrix>(
+      la::DiaMatrix::from_csr(load("femplate:a=9").problem.matrix));
+  EXPECT_THROW(
+      (void)core::SweepPlan::build(cs, la::SegmentLayout::kDia, other),
+      std::invalid_argument);
+  EXPECT_EQ(core::SweepPlan::build(cs, la::SegmentLayout::kDia, own)->dia(),
+            own);
+  // Segments over a DiaMatrix that lacks their diagonals.
+  la::CooBuilder diagonal(cs.size(), cs.size());
+  for (index_t i = 0; i < cs.size(); ++i) diagonal.add(i, i, 1.0);
+  const la::DiaMatrix main_only = la::DiaMatrix::from_csr(diagonal.build());
+  const color::RowSplits splits = color::compute_row_splits(cs);
+  EXPECT_THROW((void)la::ClassSegments::build(
+                   cs.matrix, cs.matrix.row_ptr().data(), splits.lo_end.data(),
+                   cs.class_start[1], cs.class_start[2], &main_only),
+               std::invalid_argument);
+}
+
 TEST(SweepPlan, MakePreconditionerPicksThePreparedLayout) {
   // Without a plan, the factory resolves the layout from config.format
   // and the matrix exactly as prepare() does, so its sweep is bitwise
@@ -562,6 +628,16 @@ TEST(SweepPlan, MakePreconditionerPicksThePreparedLayout) {
     prepared.preconditioner().apply(r, want);
     sweep->apply(r, got);
     EXPECT_EQ(want, got) << solver::to_string(format);
+    // With no operator to share, a DIA plan builds a DiaMatrix of its own,
+    // equal to the prepared operator's.
+    if (prepared.dia_matrix() != nullptr) {
+      ASSERT_NE(sweep->plan()->dia(), nullptr);
+      EXPECT_NE(sweep->plan()->dia().get(), prepared.dia_matrix());
+      EXPECT_EQ(sweep->plan()->dia()->values(),
+                prepared.dia_matrix()->values());
+    } else {
+      EXPECT_EQ(sweep->plan()->dia(), nullptr);
+    }
   }
 }
 
