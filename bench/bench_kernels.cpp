@@ -10,13 +10,16 @@
 // gate checks is `simd_speedup` = scalar seconds / simd seconds; the
 // machine-independent hard check is `bitwise_match_scalar` — both paths
 // must produce IDENTICAL bits (the la/simd.hpp contract).  The SELL SpMV
-// result is additionally compared bitwise against the CSR result
-// in-process (the format-registry claim); any mismatch exits 1.
+// result is additionally compared bitwise against the CSR result (the
+// format-registry claim), and the DIA SpMV against one triad per diagonal
+// in ascending offset order (its defined operation order), in-process;
+// any mismatch exits 1.
 //
 // Emits a flat JSON array (--out=BENCH_kernels.json) keyed by
 // (kernel, format, n) for tools/check_bench.py.  GB/s and GFLOP/s are
 // informational (absolute rates differ across runner generations); the
 // traffic models are stated inline and count each operand stream once.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -230,10 +233,10 @@ int main(int argc, char** argv) {
       r.format = "dia";
       r.n = n;
       r.flops_per_apply = 2 * nnz;
-      // Per triad element: v read, x read, y read+write; stored elements
-      // bounded above by n per diagonal.
+      // v and x per stored element (bounded above by n per diagonal); each
+      // row's sum stays in a register, so y is written once per row.
       r.bytes_per_apply =
-          32LL * static_cast<long long>(dia.num_diagonals()) * n + 8LL * n;
+          16LL * static_cast<long long>(dia.stored_values()) + 8LL * n;
       measure(&r, [&] { dia.multiply(x, y); },
               [&] {
                 Vec fresh;
@@ -242,6 +245,25 @@ int main(int argc, char** argv) {
               },
               target_flops, repeats);
       rows.push_back(r);
+      // The reference: y zeroed, then one triad per diagonal over its
+      // valid rows in ascending offset order — the DIA SpMV's defined
+      // operation order.
+      Vec triads(static_cast<std::size_t>(n), 0.0);
+      for (index_t d = 0; d < dia.num_diagonals(); ++d) {
+        const index_t off = dia.offsets()[d];
+        const double* v =
+            dia.values().data() + static_cast<std::size_t>(d) * n;
+        for (index_t i = std::max<index_t>(0, -off); i < std::min(n, n - off);
+             ++i) {
+          triads[i] += v[i] * x[i + off];
+        }
+      }
+      dia.multiply(x, y);
+      if (std::memcmp(y.data(), triads.data(), y.size() * sizeof(double)) !=
+          0) {
+        std::cerr << "DIA SpMV is not bitwise the per-diagonal triads!\n";
+        return 1;
+      }
     }
     {
       const la::SellMatrix sell = la::SellMatrix::from_csr(csr);

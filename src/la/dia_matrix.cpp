@@ -8,6 +8,44 @@
 
 namespace mstep::la {
 
+namespace detail {
+
+DiaRuns DiaRuns::cut(index_t rows, const std::vector<simd::DiaTap>& diag,
+                     const std::vector<index_t>& lo,
+                     const std::vector<index_t>& hi) {
+  // Between two cuts every diagonal covers all rows or none, and adjacent
+  // runs differ in the diagonal whose range the cut opens or closes.
+  std::vector<index_t> cuts{0, rows};
+  cuts.insert(cuts.end(), lo.begin(), lo.end());
+  cuts.insert(cuts.end(), hi.begin(), hi.end());
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  DiaRuns runs;
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    for (std::size_t d = 0; d < diag.size(); ++d) {
+      if (lo[d] <= cuts[k] && cuts[k + 1] <= hi[d]) {
+        runs.taps.push_back(diag[d]);
+      }
+    }
+    runs.row.push_back(cuts[k + 1]);
+    runs.tap.push_back(static_cast<index_t>(runs.taps.size()));
+  }
+  return runs;
+}
+
+simd::DiaRunView DiaRuns::view(const double* val, index_t row_begin) const {
+  simd::DiaRunView v;
+  v.val = val;
+  v.taps = taps.data();
+  v.run_row = row.data();
+  v.run_tap = tap.data();
+  v.runs = size();
+  v.row_begin = row_begin;
+  return v;
+}
+
+}  // namespace detail
+
 DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("DiaMatrix: matrix must be square");
@@ -44,6 +82,18 @@ DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a) {
       m.val_[d * static_cast<std::size_t>(m.n_) + i] = val[k];
     }
   }
+  // Each diagonal's valid range [max(0, -off), min(n, n - off)): the SpMV
+  // reads its stored zeros there, as one triad per diagonal would.
+  std::vector<simd::DiaTap> diag;
+  std::vector<index_t> lo;
+  std::vector<index_t> hi;
+  for (std::size_t d = 0; d < m.offsets_.size(); ++d) {
+    const index_t off = m.offsets_[d];
+    diag.push_back({static_cast<std::ptrdiff_t>(d) * m.n_, off});
+    lo.push_back(std::max<index_t>(0, -off));
+    hi.push_back(std::min(m.n_, m.n_ - off));
+  }
+  m.runs_ = detail::DiaRuns::cut(m.n_, diag, lo, hi);
   return m;
 }
 
@@ -68,15 +118,9 @@ void DiaMatrix::multiply_sub(const Vec& x, Vec& y) const {
 
 void DiaMatrix::multiply_rows(const double* x, double* y, index_t row_begin,
                               index_t row_end, bool subtract) const {
-  if (!subtract) std::fill(y + row_begin, y + row_end, 0.0);
-  for (std::size_t d = 0; d < offsets_.size(); ++d) {
-    const index_t off = offsets_[d];
-    const index_t lo = std::max({row_begin, index_t{0}, -off});
-    const index_t hi = std::min({row_end, n_, n_ - off});
-    // Unit-stride triad: y[i] += v[i] * x[i + off]  — the vectorizable form.
-    simd::dia_triad(val_.data() + d * static_cast<std::size_t>(n_), x, y, lo,
-                    hi, off, subtract);
-  }
+  simd::dia_sweep_rows(runs_.view(val_.data(), 0), x,
+                       simd::RowUpdate::spmv(y, subtract), row_begin,
+                       row_end);
 }
 
 DiaSegments DiaSegments::build(const CsrMatrix& a, const DiaMatrix& dia,
@@ -131,35 +175,12 @@ DiaSegments DiaSegments::build(const CsrMatrix& a, const DiaMatrix& dia,
     m.reads_ += static_cast<std::size_t>(hi[d] - lo[d]);
   }
 
-  // Runs: cut the rows wherever a live range opens or closes.  Between
-  // two cuts every diagonal is live on all rows or on none, and adjacent
-  // runs differ in the diagonal whose range the cut opens or closes.
-  std::vector<index_t> cuts{0, m.rows_};
-  cuts.insert(cuts.end(), m.lo_.begin(), m.lo_.end());
-  cuts.insert(cuts.end(), m.hi_.begin(), m.hi_.end());
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
-    for (std::size_t d = 0; d < m.diag_.size(); ++d) {
-      if (m.lo_[d] <= cuts[k] && cuts[k + 1] <= m.hi_[d]) {
-        m.taps_.push_back(m.diag_[d]);
-      }
-    }
-    m.run_row_.push_back(cuts[k + 1]);
-    m.run_tap_.push_back(static_cast<index_t>(m.taps_.size()));
-  }
+  m.runs_ = detail::DiaRuns::cut(m.rows_, m.diag_, m.lo_, m.hi_);
   return m;
 }
 
 simd::DiaRunView DiaSegments::view() const {
-  simd::DiaRunView v;
-  v.val = val_;
-  v.taps = taps_.data();
-  v.run_row = run_row_.data();
-  v.run_tap = run_tap_.data();
-  v.runs = num_runs();
-  v.row_begin = row_begin_;
-  return v;
+  return runs_.view(val_, row_begin_);
 }
 
 }  // namespace mstep::la

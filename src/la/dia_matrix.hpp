@@ -6,9 +6,11 @@
 // of nonzero diagonals; multiplying diagonal-by-diagonal turns SpMV into a
 // short sequence of long vector triads — exactly what a memory-to-memory
 // pipeline machine wants.  On modern CPUs the same layout is a unit-stride,
-// branch-free kernel; bench_kernels compares it against CSR.
+// gather-free kernel; bench_kernels compares it against CSR.
 // The multicolour sweep's class segments (DiaSegments) read the same
-// diagonals in place: one copy of the values serves SpMV and sweep.
+// diagonals in place, and one kernel (simd::dia_sweep_rows) runs both: the
+// SpMV over the whole matrix's runs, the sweep over a class's runs.  One
+// copy of the values and one kernel serve SpMV and sweep.
 #pragma once
 
 #include <cstddef>
@@ -20,11 +22,41 @@
 
 namespace mstep::la {
 
+namespace detail {
+
+/// Rows [0, rows) cut into RUNS: maximal intervals over which the set of
+/// covering diagonals does not change, each run with its covering
+/// diagonals as taps in the given (ascending offset) order.  Every row
+/// lies in exactly one run, a row no diagonal covers included.
+struct DiaRuns {
+  std::vector<index_t> row{0};  // run boundaries, +1 sentinel
+  std::vector<index_t> tap{0};  // tap offset per run, +1 sentinel
+  std::vector<simd::DiaTap> taps;
+
+  /// Diagonal d, as tap diag[d], covers rows [lo[d], hi[d]): the rows are
+  /// cut wherever a range opens or closes.
+  [[nodiscard]] static DiaRuns cut(index_t rows,
+                                   const std::vector<simd::DiaTap>& diag,
+                                   const std::vector<index_t>& lo,
+                                   const std::vector<index_t>& hi);
+
+  [[nodiscard]] index_t size() const {
+    return static_cast<index_t>(row.size()) - 1;
+  }
+  /// Kernel view over the values `val`, local row 0 at global `row_begin`.
+  [[nodiscard]] simd::DiaRunView view(const double* val,
+                                      index_t row_begin) const;
+};
+
+}  // namespace detail
+
 /// Square sparse matrix stored by (generalized) diagonals.
 ///
 /// Diagonal with offset k holds entries A(i, i+k).  Each diagonal is stored
-/// at full length n with zeros outside its valid range, so the SpMV inner
-/// loops have no per-diagonal index arithmetic beyond a start/stop clamp.
+/// at full length n with zeros outside its valid range.  The rows are cut
+/// into runs over the diagonals' valid ranges, so the SpMV sums each row
+/// over exactly the diagonals that reach it, in ascending offset order,
+/// with no per-diagonal index arithmetic.
 class DiaMatrix {
  public:
   DiaMatrix() = default;
@@ -58,8 +90,9 @@ class DiaMatrix {
   void multiply_sub(const Vec& x, Vec& y) const;
 
   /// Rows [row_begin, row_end) of y = A x, or of y -= A x when
-  /// `subtract`.  Each element sums the diagonals in offset order, so any
-  /// partition of the rows gives the bits of one whole-range call.
+  /// `subtract`: one simd::dia_sweep_rows pass, each element adding its
+  /// terms to +0 (or subtracting them from y) in ascending offset order, so
+  /// any partition of the rows gives the bits of one whole-range call.
   void multiply_rows(const double* x, double* y, index_t row_begin,
                      index_t row_end, bool subtract) const;
 
@@ -71,6 +104,7 @@ class DiaMatrix {
   index_t n_ = 0;
   std::vector<index_t> offsets_;  // sorted diagonal offsets
   std::vector<double> val_;       // val_[d * n_ + i] = A(i, i + offsets_[d])
+  detail::DiaRuns runs_;          // over each diagonal's valid range
 };
 
 /// Per-row SEGMENTS of a CSR matrix indexed as diagonals of its DiaMatrix:
@@ -83,10 +117,11 @@ class DiaMatrix {
 /// value is copied: the segments hold only offsets, ranges and runs.
 ///
 /// The build also cuts the rows into RUNS — maximal intervals with one set
-/// of live diagonals — so simd::dia_sweep_rows sums each row over exactly
-/// its live diagonals, in ascending offset order, with no per-diagonal
-/// range clamp: the fused sweep pass forms each row's sum in a register
-/// and applies the row's update at once.
+/// of live diagonals, the DiaMatrix's own cut over live instead of valid
+/// ranges — so simd::dia_sweep_rows sums each row over exactly its live
+/// diagonals, in ascending offset order, with no per-diagonal range clamp:
+/// the fused sweep pass forms each row's sum in a register and applies the
+/// row's update at once.
 class DiaSegments {
  public:
   DiaSegments() = default;
@@ -124,13 +159,11 @@ class DiaSegments {
   /// set of live diagonals does not change, each with its live diagonals
   /// in ascending offset order.  Every row lies in exactly one run, a row
   /// with no live diagonal included.
-  [[nodiscard]] index_t num_runs() const {
-    return static_cast<index_t>(run_row_.size()) - 1;
-  }
-  [[nodiscard]] index_t run_begin(index_t k) const { return run_row_[k]; }
-  [[nodiscard]] index_t run_end(index_t k) const { return run_row_[k + 1]; }
+  [[nodiscard]] index_t num_runs() const { return runs_.size(); }
+  [[nodiscard]] index_t run_begin(index_t k) const { return runs_.row[k]; }
+  [[nodiscard]] index_t run_end(index_t k) const { return runs_.row[k + 1]; }
   [[nodiscard]] index_t run_diagonals(index_t k) const {
-    return run_tap_[k + 1] - run_tap_[k];
+    return runs_.tap[k + 1] - runs_.tap[k];
   }
 
   /// Non-owning kernel view (simd::dia_sweep_rows); valid while this
@@ -145,9 +178,7 @@ class DiaSegments {
   std::vector<simd::DiaTap> diag_;  // each live diagonal as a tap
   std::vector<index_t> lo_;
   std::vector<index_t> hi_;
-  std::vector<index_t> run_row_{0};   // run boundaries, +1 sentinel
-  std::vector<index_t> run_tap_{0};   // tap offset per run, +1 sentinel
-  std::vector<simd::DiaTap> taps_;
+  detail::DiaRuns runs_;  // over each diagonal's live range
 };
 
 }  // namespace mstep::la

@@ -125,15 +125,17 @@ simd::SellView SellMatrix::view() const {
 void SellMatrix::multiply(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == cols_);
   y.resize(rows_);  // every real row is written exactly once via perm
-  simd::sell_spmv_slices(view(), x.data(), y.data(), 0, num_slices(),
-                         /*subtract=*/false);
+  simd::sell_sweep_slices(view(), x.data(),
+                          simd::RowUpdate::spmv(y.data(), false), 0,
+                          num_slices());
 }
 
 void SellMatrix::multiply_sub(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == cols_);
   assert(static_cast<index_t>(y.size()) == rows_);
-  simd::sell_spmv_slices(view(), x.data(), y.data(), 0, num_slices(),
-                         /*subtract=*/true);
+  simd::sell_sweep_slices(view(), x.data(),
+                          simd::RowUpdate::spmv(y.data(), true), 0,
+                          num_slices());
 }
 
 SellSegments SellSegments::build(const CsrMatrix& a, const index_t* seg_begin,

@@ -10,10 +10,11 @@
 // Padding entries are (col = 0, val = 0) and masked out of the lane
 // accumulators, never added.
 //
-// The kernel (simd::sell_spmv_slices) accumulates each lane-row's entries
-// through the same fixed 8-lane schedule as the CSR row kernel, so SELL
-// SpMV is BITWISE identical to CSR SpMV — the format changes memory
-// layout and speed, never bits.  The occupancy probe `profitable` is what
+// One kernel (simd::sell_sweep_slices) serves the SpMV and the multicolour
+// sweep's SELL segments: it accumulates each lane-row's entries through
+// the same fixed 8-lane schedule as the CSR row kernel, then stores,
+// subtracts or negates the finished sum, so SELL SpMV is BITWISE identical
+// to CSR SpMV — the format changes memory layout and speed, never bits.  The occupancy probe `profitable` is what
 // `--format=auto` consults after the DIA bandedness probe: SELL pays off
 // when sigma-sorted padding is small, i.e. row lengths are locally
 // uniform, which multicolour-permuted stencils and banded random systems

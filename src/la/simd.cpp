@@ -143,25 +143,12 @@ void xpay(const double* x, double b, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = x[i] + b * y[i];
 }
 
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) w[i] = a * x[i] + b * y[i];
-}
-
 void scale_copy(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = a * x[i];
 }
 
 void hadamard(const double* x, const double* y, double* w, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) w[i] = x[i] * y[i];
-}
-
-void vsub(const double* x, const double* y, double* w, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) w[i] = x[i] - y[i];
-}
-
-void vadd(const double* x, const double* y, double* w, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) w[i] = x[i] + y[i];
 }
 
 void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
@@ -178,56 +165,25 @@ void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
   }
 }
 
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract) {
-  if (subtract) {
-    for (index_t i = lo; i < hi; ++i) y[i] -= v[i] * x[i + off];
-  } else {
-    for (index_t i = lo; i < hi; ++i) y[i] += v[i] * x[i + off];
-  }
-}
-
-void sell_spmv_slices(const SellView& s, const double* x, double* y,
-                      index_t slice_begin, index_t slice_end, bool subtract) {
-  constexpr auto kC = static_cast<index_t>(kSellSlice);
-  for (index_t sl = slice_begin; sl < slice_end; ++sl) {
-    const std::size_t base = s.slice_ptr[sl];
-    for (index_t r = 0; r < kC; ++r) {
-      const index_t slot = sl * kC + r;
-      const index_t g = s.perm[slot];
-      if (g < 0) continue;  // slot holds no row
-      const index_t length = s.len[slot];
-      double lane[kRowLanes] = {};
-      for (index_t j = 0; j < length; ++j) {
-        const std::size_t at = base + static_cast<std::size_t>(j) * kC + r;
-        lane[static_cast<std::size_t>(j) % kRowLanes] +=
-            s.val[at] * x[s.col[at]];
-      }
-      double sum = lane[0];
-      for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
-      if (subtract) {
-        y[g] -= sum;
-      } else {
-        y[g] = sum;
-      }
-    }
-  }
-}
-
 namespace {
 
-/// RowUpdate's step for row g given its negated sum s (ignored by kFinal).
+using Mode = RowUpdate::Mode;
+
+/// RowUpdate's step for row g given s: its negated sum in the sweep modes
+/// (ignored by kFinal), its new y value in kProduct and kResidual.
 void apply_row(const RowUpdate& u, index_t g, double s) {
   switch (u.mode) {
-    case RowUpdate::Mode::kSolve:
-    case RowUpdate::Mode::kSolveLast:
+    case Mode::kSolve:
+    case Mode::kSolveLast:
       u.z[g] = (s + u.y[g] + u.alpha * u.r[g]) / u.diag[g];
-      u.y[g] = u.mode == RowUpdate::Mode::kSolve ? s : 0.0;
+      u.y[g] = u.mode == Mode::kSolve ? s : 0.0;
       return;
-    case RowUpdate::Mode::kSave:
+    case Mode::kSave:
+    case Mode::kProduct:
+    case Mode::kResidual:
       u.y[g] = s;
       return;
-    case RowUpdate::Mode::kFinal:
+    case Mode::kFinal:
       u.z[g] = (u.y[g] + u.alpha * u.r[g]) / u.diag[g];
       return;
   }
@@ -242,16 +198,21 @@ void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
   while (k + 1 < v.runs && v.run_row[k + 1] <= local_begin) ++k;
   for (; k < v.runs && v.run_row[k] < local_end; ++k) {
     const DiaTap* t0 = v.taps + v.run_tap[k];
-    const DiaTap* t1 = v.taps + v.run_tap[k + 1];
+    const DiaTap* t1 = u.mode == Mode::kFinal ? t0 : v.taps + v.run_tap[k + 1];
     const index_t end = std::min(v.run_row[k + 1], local_end);
     for (index_t i = std::max(v.run_row[k], local_begin); i < end; ++i) {
-      double sum = 0.0;
-      if (u.mode != RowUpdate::Mode::kFinal) {
+      const index_t g = v.row_begin + i;
+      double s = u.mode == Mode::kResidual ? u.y[g] : 0.0;
+      if (u.mode == Mode::kProduct) {
         for (const DiaTap* t = t0; t != t1; ++t) {
-          sum -= v.val[t->base + i] * xr[i + t->offset];
+          s += v.val[t->base + i] * xr[i + t->offset];
+        }
+      } else {
+        for (const DiaTap* t = t0; t != t1; ++t) {
+          s -= v.val[t->base + i] * xr[i + t->offset];
         }
       }
-      apply_row(u, v.row_begin + i, sum);
+      apply_row(u, g, s);
     }
   }
 }
@@ -259,7 +220,7 @@ void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
 void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
                        index_t slice_begin, index_t slice_end) {
   constexpr auto kC = static_cast<index_t>(kSellSlice);
-  const bool sums = u.mode != RowUpdate::Mode::kFinal;
+  const bool sums = u.mode != Mode::kFinal;
   for (index_t sl = slice_begin; sl < slice_end; ++sl) {
     const std::size_t base = s.slice_ptr[sl];
     for (index_t r = 0; r < kC; ++r) {
@@ -275,7 +236,10 @@ void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
       }
       double sum = lane[0];
       for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
-      apply_row(u, g, -sum);
+      apply_row(u, g,
+                u.mode == Mode::kProduct    ? sum
+                : u.mode == Mode::kResidual ? u.y[g] - sum
+                                            : -sum);
     }
   }
 }
@@ -313,11 +277,6 @@ void xpay(const double* x, double b, double* y, std::size_t n) {
   MSTEP_SIMD_DISPATCH(xpay(x, b, y, n));
 }
 
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n) {
-  MSTEP_SIMD_DISPATCH(waxpby(a, x, b, y, w, n));
-}
-
 void scale_copy(double a, const double* x, double* y, std::size_t n) {
   MSTEP_SIMD_DISPATCH(scale_copy(a, x, y, n));
 }
@@ -326,30 +285,11 @@ void hadamard(const double* x, const double* y, double* w, std::size_t n) {
   MSTEP_SIMD_DISPATCH(hadamard(x, y, w, n));
 }
 
-void vsub(const double* x, const double* y, double* w, std::size_t n) {
-  MSTEP_SIMD_DISPATCH(vsub(x, y, w, n));
-}
-
-void vadd(const double* x, const double* y, double* w, std::size_t n) {
-  MSTEP_SIMD_DISPATCH(vadd(x, y, w, n));
-}
-
 void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
                    const double* x, double* y, index_t row_begin,
                    index_t row_end, bool subtract) {
   MSTEP_SIMD_DISPATCH(
       csr_spmv_rows(rp, col, val, x, y, row_begin, row_end, subtract));
-}
-
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract) {
-  MSTEP_SIMD_DISPATCH(dia_triad(v, x, y, lo, hi, off, subtract));
-}
-
-void sell_spmv_slices(const SellView& s, const double* x, double* y,
-                      index_t slice_begin, index_t slice_end, bool subtract) {
-  MSTEP_SIMD_DISPATCH(
-      sell_spmv_slices(s, x, y, slice_begin, slice_end, subtract));
 }
 
 void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,

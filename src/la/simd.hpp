@@ -22,11 +22,17 @@
 //
 // la::kReductionBlock (1024) is a multiple of both, so the threaded
 // fixed-block reduction keeps lane phase across block boundaries.
-// Elementwise kernels (axpy, DIA triads, ...) need no schedule: each
-// element's mul+add order is the serial one.  No kernel may use FMA — the
+// Elementwise kernels (axpy, ...) and DIA rows need no schedule: each
+// element's mul+add order is the serial one, a DIA row's terms in
+// ascending offset order.  No kernel may use FMA — the
 // portable twin compiles to separate mul and add on every target (the
 // build forces -ffp-contract=off), so the AVX2 path uses _mm256_mul_pd +
 // _mm256_add_pd, never _mm256_fmadd_pd.
+//
+// There is one sparse kernel per layout: csr_spmv_rows, dia_sweep_rows and
+// sell_sweep_slices.  The DIA and SELL kernels are fused row passes whose
+// RowUpdate mode makes them either the outer SpMV or a multicolor sweep
+// step, so one storage and one kernel serve both.
 #pragma once
 
 #include <cstddef>
@@ -98,24 +104,17 @@ class SimdModeGuard {
 
 void axpy(double a, const double* x, double* y, std::size_t n);
 void xpay(const double* x, double b, double* y, std::size_t n);
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n);
 /// y[i] = a * x[i]; x == y aliasing allowed (in-place scale).
 void scale_copy(double a, const double* x, double* y, std::size_t n);
 void hadamard(const double* x, const double* y, double* w, std::size_t n);
-void vsub(const double* x, const double* y, double* w, std::size_t n);
-void vadd(const double* x, const double* y, double* w, std::size_t n);
 
 // ---- sparse kernels ---------------------------------------------------------
 
-/// CSR rows [row_begin, row_end): y[i] = (or -=) the 8-lane row sum.
+/// CSR rows [row_begin, row_end): y[i] = (or -=) the 8-lane row sum.  The
+/// CSR sweep runs on SELL segments, so this kernel is the SpMV alone.
 void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
                    const double* x, double* y, index_t row_begin,
                    index_t row_end, bool subtract);
-
-/// One DIA triad over [lo, hi): y[i] += (or -=) v[i] * x[i + off].
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract);
 
 /// Non-owning view of SELL-C-sigma storage (see la/sell_matrix.hpp).
 /// C = kSellSlice rows per slice; values/columns slice-column-major:
@@ -132,34 +131,43 @@ struct SellView {
   index_t num_slices = 0;
 };
 
-/// SELL slices [slice_begin, slice_end): for each real slot, y[perm[slot]]
-/// = (or -=) the slot row's 8-lane sum.  Lane l of row r accumulates its
-/// entries j with j mod 8 == l in increasing j — the exact schedule of
-/// row_dot — so SELL SpMV is bitwise CSR SpMV.
-void sell_spmv_slices(const SellView& s, const double* x, double* y,
-                      index_t slice_begin, index_t slice_end, bool subtract);
+// ---- the fused row pass: SpMV and multicolor sweep --------------------------
 
-// ---- the fused multicolor sweep pass ----------------------------------------
-
-/// Algorithm 2's per-row step, applied to row g's negated coupling sum
-/// s = -(segment . x) the moment the sum is formed — the sum itself never
-/// goes to memory.  Both paths evaluate each expression in exactly this
-/// order, with no FMA, so the sweep's bits do not depend on the path:
+/// What the fused pass does with row g the moment its sum is formed — the
+/// sum itself never goes to memory.  The sweep modes take Algorithm 2's
+/// negated coupling sum s = -(segment . x); the SpMV modes make the same
+/// pass the outer product y = A x, so one kernel per layout serves both.
+/// Both paths evaluate each expression in exactly this order, with no FMA,
+/// so the bits do not depend on the path:
 ///
 ///   kSolve      z[g] = (s + y[g] + alpha * r[g]) / diag[g];  y[g] = s
 ///   kSolveLast  the same, then y[g] = 0 (the last class has no upper sums)
 ///   kSave       y[g] = s  (class 0's upper sums; its solve is deferred)
 ///   kFinal      z[g] = (y[g] + alpha * r[g]) / diag[g]  — no sum is formed
+///   kProduct    y[g] = the row's sum
+///   kResidual   y[g] -= the row's sum
 ///
-/// kSave reads none of alpha, r, diag or z.
+/// A DIA row sums its terms one by one in tap order: kProduct adds each
+/// to +0, kResidual subtracts each from y[g], and the sweep modes subtract
+/// each from +0.  A SELL row forms its 8-lane sum first, then stores it,
+/// subtracts it or negates it.  kSave, kProduct and kResidual read none of
+/// alpha, r, diag or z.
 struct RowUpdate {
-  enum class Mode { kSolve, kSolveLast, kSave, kFinal };
+  enum class Mode { kSolve, kSolveLast, kSave, kFinal, kProduct, kResidual };
   Mode mode = Mode::kSave;
   double alpha = 0.0;
   const double* r = nullptr;
   const double* diag = nullptr;
   double* y = nullptr;
   double* z = nullptr;
+
+  /// The SpMV update: y = A x, or y -= A x when `subtract`.
+  [[nodiscard]] static RowUpdate spmv(double* y, bool subtract) {
+    RowUpdate u;
+    u.mode = subtract ? Mode::kResidual : Mode::kProduct;
+    u.y = y;
+    return u;
+  }
 };
 
 /// One live diagonal of a DIA run: local row i reads the value
@@ -169,10 +177,11 @@ struct DiaTap {
   index_t offset = 0;
 };
 
-/// Non-owning view of a colour class's diagonals cut into RUNS (see
-/// la::DiaSegments): run k covers local rows [run_row[k], run_row[k+1])
-/// and sums taps [run_tap[k], run_tap[k+1]), in ascending offset order,
-/// over every row of it — no per-diagonal clamp.
+/// Non-owning view of diagonals cut into RUNS (a whole la::DiaMatrix, or
+/// one colour class of it in la::DiaSegments): run k covers local rows
+/// [run_row[k], run_row[k+1]) and sums taps [run_tap[k], run_tap[k+1]),
+/// in ascending offset order, over every row of it — no per-diagonal
+/// clamp.
 struct DiaRunView {
   const double* val = nullptr;
   const DiaTap* taps = nullptr;
@@ -182,24 +191,26 @@ struct DiaRunView {
   index_t row_begin = 0;  // global row of local row 0
 };
 
-/// The fused sweep pass over local rows [local_begin, local_end) of a DIA
-/// class: per row s = 0, then s -= val * x[row + offset] for each tap of
-/// its run in order, then `u`.  The AVX2 path keeps s for 4 rows in one
-/// register; it executes each row's operations in the same order as the
-/// scalar twin, with mul then sub (never FMA) and a correctly rounded
-/// divide, so the bits match.  `x` may alias u.z: a class reads only
-/// other classes' rows.
+/// The fused pass over local rows [local_begin, local_end) of a DIA run
+/// view: per row one mul and one add or subtract per tap of its run, in
+/// order (see RowUpdate), then `u`.  The AVX2 path keeps 4 rows' sums in
+/// one register; it executes each row's operations in the same order as
+/// the scalar twin, with mul then add/sub (never FMA) and a correctly
+/// rounded divide, so the bits match.  In the sweep modes `x` may alias
+/// u.z: a class reads only other classes' rows.
 void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
                     index_t local_begin, index_t local_end);
 
 /// The same fused pass over SELL slices [slice_begin, slice_end): for each
-/// real slot, s = -(the slot row's 8-lane sum) — bitwise `-row_dot(...)`
-/// over the stored segment, since negating the finished sum commutes with
-/// round-to-nearest — then `u` for row perm[slot].  Under CSR and SELL
-/// operators the sweeps store each class's strictly-lower / strictly-upper
-/// row segments as SELL slices (la::SellSegments), vectorizing the sums
-/// ACROSS the rows of a class — legal exactly because the multicolor
-/// ordering makes those rows independent.
+/// real slot, the slot row's 8-lane sum — lane l of the row accumulates
+/// its entries j with j mod 8 == l in increasing j, the exact schedule of
+/// row_dot, so a SELL SpMV is bitwise CSR SpMV — then `u` for row
+/// perm[slot]; the sweep modes take s = -sum, bitwise `-row_dot(...)`
+/// since negating the finished sum commutes with round-to-nearest.  Under
+/// CSR and SELL operators the sweeps store each class's strictly-lower /
+/// strictly-upper row segments as SELL slices (la::SellSegments),
+/// vectorizing the sums ACROSS the rows of a class — legal exactly because
+/// the multicolor ordering makes those rows independent.
 void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
                        index_t slice_begin, index_t slice_end);
 

@@ -125,19 +125,6 @@ void xpay(const double* x, double b, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] = x[i] + b * y[i];
 }
 
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n) {
-  const __m256d av = _mm256_set1_pd(a);
-  const __m256d bv = _mm256_set1_pd(b);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        w + i, _mm256_add_pd(_mm256_mul_pd(av, _mm256_loadu_pd(x + i)),
-                             _mm256_mul_pd(bv, _mm256_loadu_pd(y + i))));
-  }
-  for (; i < n; ++i) w[i] = a * x[i] + b * y[i];
-}
-
 void scale_copy(double a, const double* x, double* y, std::size_t n) {
   const __m256d av = _mm256_set1_pd(a);
   std::size_t i = 0;
@@ -154,24 +141,6 @@ void hadamard(const double* x, const double* y, double* w, std::size_t n) {
         w + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
   }
   for (; i < n; ++i) w[i] = x[i] * y[i];
-}
-
-void vsub(const double* x, const double* y, double* w, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        w + i, _mm256_sub_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) w[i] = x[i] - y[i];
-}
-
-void vadd(const double* x, const double* y, double* w, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        w + i, _mm256_add_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) w[i] = x[i] + y[i];
 }
 
 namespace {
@@ -255,28 +224,6 @@ void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
   }
 }
 
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract) {
-  index_t i = lo;
-  if (subtract) {
-    for (; i + 4 <= hi; i += 4) {
-      _mm256_storeu_pd(
-          y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i),
-                               _mm256_mul_pd(_mm256_loadu_pd(v + i),
-                                             _mm256_loadu_pd(x + i + off))));
-    }
-    for (; i < hi; ++i) y[i] -= v[i] * x[i + off];
-  } else {
-    for (; i + 4 <= hi; i += 4) {
-      _mm256_storeu_pd(
-          y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                               _mm256_mul_pd(_mm256_loadu_pd(v + i),
-                                             _mm256_loadu_pd(x + i + off))));
-    }
-    for (; i < hi; ++i) y[i] += v[i] * x[i + off];
-  }
-}
-
 namespace {
 
 /// Per-row 8-lane sums of one SELL slice.  Eight rotating accumulators —
@@ -334,30 +281,13 @@ inline void slice_sums(const SellView& s, index_t sl, const double* x,
 
 }  // namespace
 
-void sell_spmv_slices(const SellView& s, const double* x, double* y,
-                      index_t slice_begin, index_t slice_end, bool subtract) {
-  constexpr auto kC = static_cast<index_t>(kSellSlice);
-  for (index_t sl = slice_begin; sl < slice_end; ++sl) {
-    double sum[kSellSlice];
-    slice_sums(s, sl, x, sum);
-    for (index_t r = 0; r < kC; ++r) {
-      const index_t g = s.perm[sl * kC + r];
-      if (g < 0) continue;
-      if (subtract) {
-        y[g] -= sum[r];
-      } else {
-        y[g] = sum[r];
-      }
-    }
-  }
-}
-
 namespace {
 
 using Mode = RowUpdate::Mode;
 
-/// RowUpdate's step for row g given its negated sum s (ignored by kFinal)
-/// — the portable twin's apply_row verbatim.
+/// RowUpdate's step for row g given s: its negated sum in the sweep modes
+/// (ignored by kFinal), its new y value in kProduct and kResidual — the
+/// portable twin's apply_row verbatim.
 inline void apply_row(const RowUpdate& u, index_t g, double s) {
   switch (u.mode) {
     case Mode::kSolve:
@@ -366,6 +296,8 @@ inline void apply_row(const RowUpdate& u, index_t g, double s) {
       u.y[g] = u.mode == Mode::kSolve ? s : 0.0;
       return;
     case Mode::kSave:
+    case Mode::kProduct:
+    case Mode::kResidual:
       u.y[g] = s;
       return;
     case Mode::kFinal:
@@ -374,11 +306,12 @@ inline void apply_row(const RowUpdate& u, index_t g, double s) {
   }
 }
 
-/// RowUpdate's step for rows g .. g+3, whose negated sums are in s.
+/// RowUpdate's step for rows g .. g+3, whose s values are in s.
 template <Mode M>
 inline void apply_rows4(const RowUpdate& u, __m256d alpha, index_t g,
                         __m256d s) {
-  if constexpr (M == Mode::kSave) {
+  if constexpr (M == Mode::kSave || M == Mode::kProduct ||
+                M == Mode::kResidual) {
     _mm256_storeu_pd(u.y + g, s);
   } else {
     const __m256d ar = _mm256_mul_pd(alpha, _mm256_loadu_pd(u.r + g));
@@ -396,18 +329,26 @@ inline void apply_rows4(const RowUpdate& u, __m256d alpha, index_t g,
 }
 
 /// dia_sweep_rows for one mode.  Each 4-row block keeps its sums in one
-/// register; three blocks are in flight at a time so their subtract
-/// chains overlap.  A run's last rows that do not fill a block take the twin's
-/// scalar path.
+/// register; three blocks are in flight at a time so their add/subtract
+/// chains overlap.  A run's last rows that do not fill a block take the
+/// twin's scalar path.
 template <Mode M>
 void dia_sweep_mode(const DiaRunView& v, const double* x, const RowUpdate& u,
                     index_t local_begin, index_t local_end) {
   const double* xr = x + v.row_begin;
   const __m256d alpha = _mm256_set1_pd(u.alpha);
-  // value * x for local rows i .. i+3 on tap t.
-  const auto term = [&](const DiaTap* t, index_t i) {
-    return _mm256_mul_pd(_mm256_loadu_pd(v.val + (t->base + i)),
-                         _mm256_loadu_pd(xr + i + t->offset));
+  // Rows g .. g+3 start from y (kResidual) or +0.
+  const auto start = [&](index_t g) {
+    if constexpr (M == Mode::kResidual) return _mm256_loadu_pd(u.y + g);
+    return _mm256_setzero_pd();
+  };
+  // s plus (kProduct) or minus value * x for local rows i .. i+3 on tap t.
+  const auto step = [&](__m256d s, const DiaTap* t, index_t i) {
+    const __m256d term =
+        _mm256_mul_pd(_mm256_loadu_pd(v.val + (t->base + i)),
+                      _mm256_loadu_pd(xr + i + t->offset));
+    if constexpr (M == Mode::kProduct) return _mm256_add_pd(s, term);
+    return _mm256_sub_pd(s, term);
   };
   index_t k = 0;
   while (k + 1 < v.runs && v.run_row[k + 1] <= local_begin) ++k;
@@ -417,31 +358,33 @@ void dia_sweep_mode(const DiaRunView& v, const double* x, const RowUpdate& u,
     const index_t end = std::min(v.run_row[k + 1], local_end);
     index_t i = std::max(v.run_row[k], local_begin);
     for (; i + 12 <= end; i += 12) {
-      __m256d s0 = _mm256_setzero_pd();
-      __m256d s1 = _mm256_setzero_pd();
-      __m256d s2 = _mm256_setzero_pd();
+      const index_t g = v.row_begin + i;
+      __m256d s0 = start(g);
+      __m256d s1 = start(g + 4);
+      __m256d s2 = start(g + 8);
       for (const DiaTap* t = t0; t != t1; ++t) {
-        s0 = _mm256_sub_pd(s0, term(t, i));
-        s1 = _mm256_sub_pd(s1, term(t, i + 4));
-        s2 = _mm256_sub_pd(s2, term(t, i + 8));
+        s0 = step(s0, t, i);
+        s1 = step(s1, t, i + 4);
+        s2 = step(s2, t, i + 8);
       }
-      apply_rows4<M>(u, alpha, v.row_begin + i, s0);
-      apply_rows4<M>(u, alpha, v.row_begin + i + 4, s1);
-      apply_rows4<M>(u, alpha, v.row_begin + i + 8, s2);
+      apply_rows4<M>(u, alpha, g, s0);
+      apply_rows4<M>(u, alpha, g + 4, s1);
+      apply_rows4<M>(u, alpha, g + 8, s2);
     }
     for (; i + 4 <= end; i += 4) {
-      __m256d sum = _mm256_setzero_pd();
-      for (const DiaTap* t = t0; t != t1; ++t) {
-        sum = _mm256_sub_pd(sum, term(t, i));
-      }
-      apply_rows4<M>(u, alpha, v.row_begin + i, sum);
+      const index_t g = v.row_begin + i;
+      __m256d s = start(g);
+      for (const DiaTap* t = t0; t != t1; ++t) s = step(s, t, i);
+      apply_rows4<M>(u, alpha, g, s);
     }
     for (; i < end; ++i) {
-      double sum = 0.0;
+      const index_t g = v.row_begin + i;
+      double s = M == Mode::kResidual ? u.y[g] : 0.0;
       for (const DiaTap* t = t0; t != t1; ++t) {
-        sum -= v.val[t->base + i] * xr[i + t->offset];
+        const double term = v.val[t->base + i] * xr[i + t->offset];
+        s = M == Mode::kProduct ? s + term : s - term;
       }
-      apply_row(u, v.row_begin + i, sum);
+      apply_row(u, g, s);
     }
   }
 }
@@ -460,6 +403,11 @@ void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
       return dia_sweep_mode<Mode::kSave>(v, x, u, local_begin, local_end);
     case Mode::kFinal:
       return dia_sweep_mode<Mode::kFinal>(v, x, u, local_begin, local_end);
+    case Mode::kProduct:
+      return dia_sweep_mode<Mode::kProduct>(v, x, u, local_begin, local_end);
+    case Mode::kResidual:
+      return dia_sweep_mode<Mode::kResidual>(v, x, u, local_begin,
+                                             local_end);
   }
 }
 
@@ -480,11 +428,24 @@ void sell_sweep_mode(const SellView& s, const double* x, const RowUpdate& u,
     // sort keeps row order among equal lengths) update as one block; the
     // sign flip is the exact negation the scalar path applies.
     if (g >= 0 && perm[1] == g + 1 && perm[2] == g + 2 && perm[3] == g + 3) {
-      apply_rows4<M>(u, alpha, g, _mm256_xor_pd(_mm256_loadu_pd(sum), sign));
+      const __m256d v = _mm256_loadu_pd(sum);
+      if constexpr (M == Mode::kProduct) {
+        apply_rows4<M>(u, alpha, g, v);
+      } else if constexpr (M == Mode::kResidual) {
+        apply_rows4<M>(u, alpha, g,
+                       _mm256_sub_pd(_mm256_loadu_pd(u.y + g), v));
+      } else {
+        apply_rows4<M>(u, alpha, g, _mm256_xor_pd(v, sign));
+      }
       continue;
     }
     for (index_t r = 0; r < kC; ++r) {
-      if (perm[r] >= 0) apply_row(u, perm[r], -sum[r]);
+      const index_t row = perm[r];
+      if (row < 0) continue;
+      apply_row(u, row,
+                M == Mode::kProduct    ? sum[r]
+                : M == Mode::kResidual ? u.y[row] - sum[r]
+                                       : -sum[r]);
     }
   }
 }
@@ -503,6 +464,11 @@ void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,
       return sell_sweep_mode<Mode::kSave>(s, x, u, slice_begin, slice_end);
     case Mode::kFinal:
       return sell_sweep_mode<Mode::kFinal>(s, x, u, slice_begin, slice_end);
+    case Mode::kProduct:
+      return sell_sweep_mode<Mode::kProduct>(s, x, u, slice_begin, slice_end);
+    case Mode::kResidual:
+      return sell_sweep_mode<Mode::kResidual>(s, x, u, slice_begin,
+                                              slice_end);
   }
 }
 

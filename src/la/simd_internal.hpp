@@ -22,20 +22,12 @@ namespace mstep::la::simd::avx2 {
 
 void axpy(double a, const double* x, double* y, std::size_t n);
 void xpay(const double* x, double b, double* y, std::size_t n);
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n);
 void scale_copy(double a, const double* x, double* y, std::size_t n);
 void hadamard(const double* x, const double* y, double* w, std::size_t n);
-void vsub(const double* x, const double* y, double* w, std::size_t n);
-void vadd(const double* x, const double* y, double* w, std::size_t n);
 
 void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
                    const double* x, double* y, index_t row_begin,
                    index_t row_end, bool subtract);
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract);
-void sell_spmv_slices(const SellView& s, const double* x, double* y,
-                      index_t slice_begin, index_t slice_end, bool subtract);
 void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
                     index_t local_begin, index_t local_end);
 void sell_sweep_slices(const SellView& s, const double* x, const RowUpdate& u,

@@ -6,10 +6,11 @@
 
 #include "la/simd.hpp"
 
-// Every BLAS-1 kernel delegates to the SIMD layer (la/simd.hpp): one
-// runtime-dispatched implementation — portable twin or AVX2, bitwise
-// identical — serves the serial path here and the threaded chunks in
-// par::Execution alike.
+// Every solve-path BLAS-1 kernel delegates to the SIMD layer
+// (la/simd.hpp): one runtime-dispatched implementation — portable twin or
+// AVX2, bitwise identical — serves the serial path here and the threaded
+// chunks in par::Execution alike.  norm_inf, diff_norm_inf, fill and sub
+// stay plain loops.
 
 namespace mstep::la {
 
@@ -21,12 +22,6 @@ void axpy(double a, const Vec& x, Vec& y) {
 void xpay(const Vec& x, double b, Vec& y) {
   assert(x.size() == y.size());
   simd::xpay(x.data(), b, y.data(), x.size());
-}
-
-void waxpby(double a, const Vec& x, double b, const Vec& y, Vec& w) {
-  assert(x.size() == y.size());
-  w.resize(x.size());
-  simd::waxpby(a, x.data(), b, y.data(), w.data(), x.size());
 }
 
 void scale(double a, Vec& x) { simd::scale_copy(a, x.data(), x.data(), x.size()); }
@@ -73,13 +68,7 @@ void fill(Vec& x, double value) {
 void sub(const Vec& x, const Vec& y, Vec& w) {
   assert(x.size() == y.size());
   w.resize(x.size());
-  simd::vsub(x.data(), y.data(), w.data(), x.size());
-}
-
-void add(const Vec& x, const Vec& y, Vec& w) {
-  assert(x.size() == y.size());
-  w.resize(x.size());
-  simd::vadd(x.data(), y.data(), w.data(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) w[i] = x[i] - y[i];
 }
 
 void hadamard(const Vec& x, const Vec& y, Vec& w) {

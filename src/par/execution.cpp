@@ -34,23 +34,35 @@ Execution::Execution(int threads) {
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
+template <class Block, class Combine>
+double Execution::blocked_reduce(index_t n, const Block& block,
+                                 const Combine& combine) const {
+  const auto size = static_cast<index_t>(la::kReductionBlock);
+  const index_t nblocks = (n + size - 1) / size;
+  const auto partial = [&](index_t k) {
+    return block(k * size, std::min(n, (k + 1) * size));
+  };
+  double acc = 0.0;
+  if (!pool_ || n < kSerialCutoff) {
+    for (index_t k = 0; k < nblocks; ++k) acc = combine(acc, partial(k));
+    return acc;
+  }
+  std::vector<double>& partials = reduction_partials(nblocks);
+  pool_->for_each(0, nblocks, [&](index_t k) { partials[k] = partial(k); });
+  for (index_t k = 0; k < nblocks; ++k) acc = combine(acc, partials[k]);
+  return acc;
+}
+
 double Execution::dot(const Vec& x, const Vec& y) const {
   assert(x.size() == y.size());
-  const auto n = static_cast<index_t>(x.size());
-  if (!pool_ || n < kSerialCutoff) return la::dot(x, y);
-
-  const auto block = static_cast<index_t>(la::kReductionBlock);
-  const index_t nblocks = (n + block - 1) / block;
-  std::vector<double>& partials = reduction_partials(nblocks);
-  pool_->for_each(0, nblocks, [&](index_t k) {
-    const auto b = static_cast<std::size_t>(k) * la::kReductionBlock;
-    partials[k] = la::detail::dot_range(
-        x, y, b, std::min(x.size(), b + la::kReductionBlock));
-  });
-  // Combine in block order — exactly la::dot's serial combination.
-  double s = 0.0;
-  for (index_t k = 0; k < nblocks; ++k) s += partials[k];
-  return s;
+  // Block partials summed in block order — exactly la::dot.
+  return blocked_reduce(
+      static_cast<index_t>(x.size()),
+      [&](index_t b, index_t e) {
+        return la::detail::dot_range(x, y, static_cast<std::size_t>(b),
+                                     static_cast<std::size_t>(e));
+      },
+      [](double s, double partial) { return s + partial; });
 }
 
 double Execution::nrm2(const Vec& x) const { return std::sqrt(dot(x, x)); }
@@ -58,11 +70,7 @@ double Execution::nrm2(const Vec& x) const { return std::sqrt(dot(x, x)); }
 void Execution::axpy(double a, const Vec& x, Vec& y) const {
   assert(x.size() == y.size());
   const auto n = static_cast<index_t>(x.size());
-  if (!pool_ || n < kSerialCutoff) {
-    la::axpy(a, x, y);
-    return;
-  }
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
+  partitioned(n, n, [&](index_t b, index_t e) {
     la::simd::axpy(a, x.data() + b, y.data() + b,
                    static_cast<std::size_t>(e - b));
   });
@@ -71,11 +79,7 @@ void Execution::axpy(double a, const Vec& x, Vec& y) const {
 void Execution::xpay(const Vec& x, double b, Vec& y) const {
   assert(x.size() == y.size());
   const auto n = static_cast<index_t>(x.size());
-  if (!pool_ || n < kSerialCutoff) {
-    la::xpay(x, b, y);
-    return;
-  }
-  pool_->for_range(0, n, [&](index_t lo, index_t hi) {
+  partitioned(n, n, [&](index_t lo, index_t hi) {
     la::simd::xpay(x.data() + lo, b, y.data() + lo,
                    static_cast<std::size_t>(hi - lo));
   });
@@ -84,11 +88,7 @@ void Execution::xpay(const Vec& x, double b, Vec& y) const {
 void Execution::scale_copy(double a, const Vec& x, Vec& y) const {
   const auto n = static_cast<index_t>(x.size());
   y.resize(x.size());
-  if (!pool_ || n < kSerialCutoff) {
-    la::simd::scale_copy(a, x.data(), y.data(), x.size());
-    return;
-  }
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
+  partitioned(n, n, [&](index_t b, index_t e) {
     la::simd::scale_copy(a, x.data() + b, y.data() + b,
                          static_cast<std::size_t>(e - b));
   });
@@ -97,12 +97,8 @@ void Execution::scale_copy(double a, const Vec& x, Vec& y) const {
 void Execution::hadamard(const Vec& x, const Vec& y, Vec& w) const {
   assert(x.size() == y.size());
   const auto n = static_cast<index_t>(x.size());
-  if (!pool_ || n < kSerialCutoff) {
-    la::hadamard(x, y, w);
-    return;
-  }
   w.resize(x.size());
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
+  partitioned(n, n, [&](index_t b, index_t e) {
     la::simd::hadamard(x.data() + b, y.data() + b, w.data() + b,
                        static_cast<std::size_t>(e - b));
   });
@@ -110,23 +106,14 @@ void Execution::hadamard(const Vec& x, const Vec& y, Vec& w) const {
 
 double Execution::step_update_max(double a, const Vec& p, Vec& u) const {
   assert(p.size() == u.size());
-  const auto n = static_cast<index_t>(p.size());
-  if (!pool_ || n < kSerialCutoff) {
-    return la::simd::step_update_max(a, p.data(), u.data(), p.size());
-  }
-  const auto block = static_cast<index_t>(la::kReductionBlock);
-  const index_t nblocks = (n + block - 1) / block;
-  std::vector<double>& partials = reduction_partials(nblocks);
-  pool_->for_each(0, nblocks, [&](index_t k) {
-    const index_t b = k * block;
-    const index_t e = std::min(n, b + block);
-    partials[k] = la::simd::step_update_max(a, p.data() + b, u.data() + b,
-                                            static_cast<std::size_t>(e - b));
-  });
   // max over blocks == max over the range: order-insensitive.
-  double mx = 0.0;
-  for (index_t k = 0; k < nblocks; ++k) mx = std::max(mx, partials[k]);
-  return mx;
+  return blocked_reduce(
+      static_cast<index_t>(p.size()),
+      [&](index_t b, index_t e) {
+        return la::simd::step_update_max(a, p.data() + b, u.data() + b,
+                                         static_cast<std::size_t>(e - b));
+      },
+      [](double mx, double partial) { return std::max(mx, partial); });
 }
 
 void Execution::spmv(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
@@ -169,8 +156,9 @@ void Execution::spmv(const la::SellMatrix& a, const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == a.cols());
   y.resize(a.rows());  // every real row is written exactly once via perm
   partitioned(a.rows(), a.num_slices(), [&](index_t b, index_t e) {
-    la::simd::sell_spmv_slices(a.view(), x.data(), y.data(), b, e,
-                               /*subtract=*/false);
+    la::simd::sell_sweep_slices(a.view(), x.data(),
+                                la::simd::RowUpdate::spmv(y.data(), false),
+                                b, e);
   });
 }
 
@@ -178,8 +166,9 @@ void Execution::spmv_sub(const la::SellMatrix& a, const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == a.cols());
   assert(static_cast<index_t>(y.size()) == a.rows());
   partitioned(a.rows(), a.num_slices(), [&](index_t b, index_t e) {
-    la::simd::sell_spmv_slices(a.view(), x.data(), y.data(), b, e,
-                               /*subtract=*/true);
+    la::simd::sell_sweep_slices(a.view(), x.data(),
+                                la::simd::RowUpdate::spmv(y.data(), true),
+                                b, e);
   });
 }
 

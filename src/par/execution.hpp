@@ -80,9 +80,9 @@ class Execution {
   void spmv_sub(const la::SellMatrix& a, const Vec& x, Vec& y) const;
 
  private:
-  /// body(b, e) over parts [0, parts) — rows, or SELL slices, which
-  /// partition the rows — on the pool when there is one and the matrix
-  /// has at least kSerialCutoff rows, else in one call.
+  /// body(b, e) over parts [0, parts) — vector elements, matrix rows, or
+  /// SELL slices, which partition the rows — on the pool when there is one
+  /// and there are at least kSerialCutoff rows, else in one call.
   template <class Body>
   void partitioned(index_t rows, index_t parts, const Body& body) const {
     if (!pool_ || rows < kSerialCutoff) {
@@ -91,6 +91,14 @@ class Execution {
       pool_->for_range(0, parts, body);
     }
   }
+
+  /// The fixed-block reduction of la::kReductionBlock over [0, n): block
+  /// k's partial block(b, e), computed on the pool when there is one and
+  /// n >= kSerialCutoff, folded in block order as acc = combine(acc,
+  /// partial) from 0.0 — the same partials and order on every path.
+  template <class Block, class Combine>
+  double blocked_reduce(index_t n, const Block& block,
+                        const Combine& combine) const;
 
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
 
 namespace mstep::serve {
 
@@ -173,6 +174,29 @@ la::CsrMatrix WireReader::csr() {
   std::vector<double> val;
   val.reserve(nval);
   for (std::uint64_t i = 0; i < nval; ++i) val.push_back(f64());
+  // Every later stage indexes through these arrays unchecked: reject a
+  // structure that would send it out of bounds.
+  const auto reject = [](const std::string& why) {
+    throw ProtocolError("inconsistent CSR payload: " + why);
+  };
+  if (nptr != static_cast<std::uint64_t>(rows) + 1) {
+    reject("row_ptr holds " + std::to_string(nptr) + " entries, not rows + 1");
+  }
+  if (row_ptr[0] != 0) reject("row_ptr[0] is not 0");
+  if (static_cast<std::uint64_t>(row_ptr[rows]) != ncol) {
+    reject("row_ptr[rows] is not the entry count");
+  }
+  for (index_t i = 0; i < rows; ++i) {
+    if (row_ptr[i + 1] < row_ptr[i]) reject("row_ptr decreases");
+  }
+  for (index_t i = 0; i < rows; ++i) {
+    for (index_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      if (col[k] >= cols) reject("column index out of range");
+      if (k > row_ptr[i] && col[k] <= col[k - 1]) {
+        reject("columns do not strictly increase within a row");
+      }
+    }
+  }
   try {
     return la::CsrMatrix(rows, cols, std::move(row_ptr), std::move(col),
                          std::move(val));

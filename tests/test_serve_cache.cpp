@@ -62,6 +62,53 @@ TEST(Wire, CsrRoundTrip) {
   EXPECT_EQ(back.values(), m.values());
 }
 
+/// Decoding `m`'s encoding throws ProtocolError("inconsistent CSR payload:
+/// ...") whose reason contains `why`.  CsrMatrix's constructor checks only
+/// array lengths, so a hostile structure encodes as is.
+void expect_csr_rejected(const la::CsrMatrix& m, const std::string& why) {
+  WireWriter w;
+  w.csr(m);
+  WireReader r(w.bytes());
+  try {
+    (void)r.csr();
+    ADD_FAILURE() << "accepted a payload with " << why;
+  } catch (const ProtocolError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("inconsistent CSR payload: ", 0), 0u) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+}
+
+TEST(Wire, CsrRejectsRowPtrNotStartingAtZero) {
+  expect_csr_rejected(la::CsrMatrix(2, 2, {1, 1, 2}, {0, 1}, {1.0, 1.0}),
+                      "row_ptr[0] is not 0");
+}
+
+TEST(Wire, CsrRejectsDecreasingRowPtr) {
+  expect_csr_rejected(la::CsrMatrix(2, 2, {0, 2, 1}, {0}, {1.0}),
+                      "row_ptr decreases");
+}
+
+TEST(Wire, CsrRejectsRowPtrEndOtherThanTheEntryCount) {
+  // Row 1 claims entries [1, 5) of a one-entry payload.
+  expect_csr_rejected(la::CsrMatrix(2, 2, {0, 1, 5}, {7}, {1.0}),
+                      "row_ptr[rows] is not the entry count");
+  expect_csr_rejected(la::CsrMatrix(2, 2, {0, 1, 1}, {0, 1}, {1.0, 1.0}),
+                      "row_ptr[rows] is not the entry count");
+}
+
+TEST(Wire, CsrRejectsColumnsOutOfRange) {
+  expect_csr_rejected(la::CsrMatrix(2, 2, {0, 1, 2}, {0, 2}, {1.0, 1.0}),
+                      "column index out of range");
+}
+
+TEST(Wire, CsrRejectsColumnsNotStrictlyIncreasingInARow) {
+  expect_csr_rejected(la::CsrMatrix(2, 2, {0, 2, 2}, {1, 0}, {1.0, 1.0}),
+                      "columns do not strictly increase");
+  expect_csr_rejected(la::CsrMatrix(2, 2, {0, 0, 2}, {1, 1}, {1.0, 1.0}),
+                      "columns do not strictly increase");
+}
+
 TEST(Wire, TruncatedPayloadThrows) {
   WireWriter w;
   w.str("four byte length prefix plus this text");

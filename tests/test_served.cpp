@@ -222,6 +222,34 @@ TEST(Served, ErrorRetcodeSurface) {
   EXPECT_EQ(client.solve(not_square).retcode, Retcode::kBadRequest);
 }
 
+TEST(Served, HostileInlineCsrGetsAnErrorAndTheDaemonKeepsServing) {
+  const std::string sock = sock_path("hostile");
+  ServedServer daemon(unix_options(sock));
+  Client client = Client::connect("unix:" + sock);
+
+  // Row 1 claims entries [1, 5) of a one-entry payload, in column 7 of 2.
+  SolveRequest hostile;
+  hostile.source = MatrixSource::kInlineCsr;
+  hostile.matrix = la::CsrMatrix(2, 2, {0, 1, 5}, {7}, {1.0});
+  hostile.config = "splitting=ssor;m=2";
+  hostile.rhs = {Vec(2, 1.0)};
+  const SolveResponse refused = client.solve(hostile);
+  EXPECT_EQ(refused.retcode, Retcode::kProtocol);
+  EXPECT_NE(refused.message.find("inconsistent CSR payload"),
+            std::string::npos)
+      << refused.message;
+
+  // The same connection, and a new one, still get solves.
+  const SolveResponse ok =
+      client.solve_catalog("poisson2d:n=8", "splitting=ssor;m=2");
+  ASSERT_EQ(ok.retcode, Retcode::kOk) << ok.message;
+  EXPECT_TRUE(ok.all_converged());
+  Client second = Client::connect("unix:" + sock);
+  EXPECT_EQ(second.solve_catalog("poisson2d:n=8", "splitting=ssor;m=2")
+                .retcode,
+            Retcode::kOk);
+}
+
 TEST(Served, MetricsDocumentCountsTraffic) {
   const std::string sock = sock_path("metrics");
   ServedServer daemon(unix_options(sock));

@@ -2,7 +2,8 @@
 // CYBER layout, Section 3.1): bitwise determinism across every execution
 // path, agreement with the SELL layout, a brute-force check of the DIA
 // segment build and its runs, the fused sweep pass against the two-pass
-// sweep it replaced, the shared sweep plan (no per-call rebuilds, one copy
+// sweep it replaced, the DIA SpMV mode of the same pass against the
+// per-diagonal triads it replaced, the shared sweep plan (no per-call rebuilds, one copy
 // of the DIA operator's diagonals), the reported sweep format, and pinned
 // solution bits of both layouts.
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "la/class_segments.hpp"
 #include "la/dia_matrix.hpp"
 #include "la/simd.hpp"
+#include "par/execution.hpp"
 #include "problems/problem.hpp"
 #include "solver/solver.hpp"
 #include "util/rng.hpp"
@@ -382,6 +384,19 @@ void check_runs(const la::DiaSegments& d) {
   ASSERT_EQ(row, d.rows());
 }
 
+/// One DIA triad over [lo, hi): y[i] += (or -=) v[i] * x[i + off] — the
+/// per-diagonal step the fused row pass must reproduce bitwise.
+void triad(const double* v, const double* x, double* y, index_t lo,
+           index_t hi, index_t off, bool subtract) {
+  for (index_t i = lo; i < hi; ++i) {
+    if (subtract) {
+      y[i] -= v[i] * x[i + off];
+    } else {
+      y[i] += v[i] * x[i + off];
+    }
+  }
+}
+
 /// The sweep as it ran before the fused pass: the class's negated sums
 /// into a scratch vector — zeroed, then one subtract triad per diagonal
 /// over its live rows — and then a separate scalar row update.
@@ -391,9 +406,8 @@ void reference_pass(const la::DiaSegments& d, const la::simd::RowUpdate& u,
   const index_t rb = d.row_begin();
   Vec sums(x.size(), 0.0);
   for (index_t k = 0; k < d.num_diagonals(); ++k) {
-    la::simd::dia_triad(d.values(k), x.data() + rb + d.lo(k),
-                        sums.data() + rb + d.lo(k), 0, d.hi(k) - d.lo(k),
-                        d.offset(k), /*subtract=*/true);
+    triad(d.values(k), x.data() + rb + d.lo(k), sums.data() + rb + d.lo(k),
+          0, d.hi(k) - d.lo(k), d.offset(k), /*subtract=*/true);
   }
   for (index_t g = rb; g < rb + d.rows(); ++g) {
     const double s = sums[g];
@@ -409,6 +423,10 @@ void reference_pass(const la::DiaSegments& d, const la::simd::RowUpdate& u,
       case Mode::kFinal:
         u.z[g] = (u.y[g] + u.alpha * u.r[g]) / u.diag[g];
         break;
+      case Mode::kProduct:
+      case Mode::kResidual:
+        ADD_FAILURE() << "not a sweep mode";
+        return;
     }
   }
 }
@@ -494,6 +512,116 @@ TEST(DiaRuns, FusedPassMatchesTheTwoPassSweepAcrossRunBoundaries) {
               << what;
         }
       }
+    }
+  }
+}
+
+/// y = A x, or y -= A x, as the DIA SpMV ran before it became a mode of
+/// the fused pass: y zeroed for the product, then one triad per diagonal
+/// over its valid rows [max(0, -off), min(n, n - off)), in ascending
+/// offset order.
+Vec triad_spmv(const la::DiaMatrix& a, const Vec& x, Vec y, bool subtract) {
+  const index_t n = a.rows();
+  if (!subtract) y.assign(static_cast<std::size_t>(n), 0.0);
+  for (index_t d = 0; d < a.num_diagonals(); ++d) {
+    const index_t off = a.offsets()[d];
+    triad(a.values().data() + static_cast<std::size_t>(d) * n, x.data(),
+          y.data(), std::max<index_t>(0, -off), std::min(n, n - off), off,
+          subtract);
+  }
+  return y;
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DiaSpmv, MultiplyIsThePerDiagonalTriadsBitwise) {
+  // A 40-row band with holes, whose row 20 has only -0 terms: its x
+  // entries are -0 and its values positive.  Its product must be the
+  // triads' +0 (a sum started from -0 would stay -0), and from y = -0 its
+  // residual the triads' +0 (subtracting the finished sum would give -0).
+  const index_t n = 40;
+  const index_t zero_row = 20;
+  const index_t offsets[] = {-11, -4, -1, 0, 1, 3, 9};
+  util::Rng rng(5);
+  la::CooBuilder coo(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    for (const index_t off : offsets) {
+      if (i + off < 0 || i + off >= n) continue;
+      if (i != zero_row && rng.uniform() < 0.2) continue;  // a hole
+      coo.add(i, i + off,
+              i == zero_row ? rng.uniform(0.5, 1.5) : rng.uniform(-1.0, 1.0));
+    }
+  }
+  Vec band_x = rng.uniform_vector(n, -1.0, 1.0);
+  for (const index_t off : offsets) band_x[zero_row + off] = -0.0;
+
+  struct Case {
+    std::string name;
+    la::CsrMatrix matrix;
+    Vec x;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"band", coo.build(), band_x});
+  for (const char* spec : kSystems) {
+    const System s = load(spec);
+    const color::ColoredSystem cs =
+        color::make_colored_system(s.problem.matrix, s.classes);
+    cases.push_back({spec, cs.matrix, rng.uniform_vector(cs.size(), -1.0, 1.0)});
+  }
+
+  const par::Execution four(4);
+  for (const Case& c : cases) {
+    const la::DiaMatrix dia = la::DiaMatrix::from_csr(c.matrix);
+    const index_t rows = dia.rows();
+    Vec y0 = rng.uniform_vector(rows, -1.0, 1.0);
+    if (c.name == "band") y0[zero_row] = -0.0;
+    const Vec want_product = triad_spmv(dia, c.x, {}, false);
+    const Vec want_residual = triad_spmv(dia, c.x, y0, true);
+    if (c.name == "band") {
+      ASSERT_FALSE(std::signbit(want_product[zero_row]));
+      ASSERT_FALSE(std::signbit(want_residual[zero_row]));
+    }
+    // Two-piece splits at every row of the band; strip splits everywhere.
+    std::vector<std::vector<index_t>> splits;
+    if (rows <= n) {
+      for (index_t cut = 0; cut <= rows; ++cut) splits.push_back({0, cut, rows});
+    }
+    for (const index_t strips : {2, 3, 4, 7}) {
+      std::vector<index_t> bounds;
+      for (index_t k = 0; k <= strips; ++k) bounds.push_back(k * rows / strips);
+      splits.push_back(bounds);
+    }
+    for (const auto simd : {la::simd::SimdMode::kForceScalar,
+                            la::simd::SimdMode::kForceVector}) {
+      const la::simd::SimdModeGuard guard(simd);
+      SCOPED_TRACE(c.name + " " + la::simd::simd_isa());
+      Vec y;
+      dia.multiply(c.x, y);
+      EXPECT_TRUE(same_bits(y, want_product));
+      y = y0;
+      dia.multiply_sub(c.x, y);
+      EXPECT_TRUE(same_bits(y, want_residual));
+      for (const bool subtract : {false, true}) {
+        const Vec& want = subtract ? want_residual : want_product;
+        for (const auto& bounds : splits) {
+          y = y0;
+          for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+            dia.multiply_rows(c.x.data(), y.data(), bounds[k], bounds[k + 1],
+                              subtract);
+          }
+          ASSERT_TRUE(same_bits(y, want))
+              << "subtract " << subtract << " pieces " << bounds.size() - 1
+              << " first cut " << bounds[1];
+        }
+      }
+      four.spmv(dia, c.x, y);
+      EXPECT_TRUE(same_bits(y, want_product));
+      y = y0;
+      four.spmv_sub(dia, c.x, y);
+      EXPECT_TRUE(same_bits(y, want_residual));
     }
   }
 }
