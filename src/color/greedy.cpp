@@ -5,26 +5,39 @@
 
 namespace mstep::color {
 
-std::vector<int> greedy_vertex_coloring(
-    const std::vector<std::vector<index_t>>& adjacency) {
-  const std::size_t n = adjacency.size();
+namespace {
+
+/// First-fit colouring in vertex order: each vertex takes the smallest
+/// colour that none of its already coloured neighbours holds.
+/// `for_each_neighbour(v, mark)` calls mark(w) for every neighbour w of v.
+/// last_seen[c] is the last vertex that found colour c among its
+/// neighbours, so marking a colour is one store and nothing is cleared
+/// between vertices.
+template <class ForEachNeighbour>
+std::vector<int> first_fit(std::size_t n, ForEachNeighbour&& for_each_neighbour) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::vector<int> color(n, -1);
-  std::vector<char> used;
+  std::vector<std::size_t> last_seen;  // one per colour in use
   for (std::size_t v = 0; v < n; ++v) {
-    used.assign(used.size(), 0);
-    int max_needed = 0;
-    for (index_t w : adjacency[v]) {
-      if (color[w] >= 0) max_needed = std::max(max_needed, color[w] + 1);
-    }
-    used.assign(static_cast<std::size_t>(max_needed) + 1, 0);
-    for (index_t w : adjacency[v]) {
-      if (color[w] >= 0) used[color[w]] = 1;
-    }
-    int c = 0;
-    while (c < static_cast<int>(used.size()) && used[c]) ++c;
-    color[v] = c;
+    for_each_neighbour(v, [&](index_t w) {
+      const int c = color[w];  // -1 for v itself and later vertices
+      if (c >= 0) last_seen[c] = v;
+    });
+    std::size_t c = 0;
+    while (c < last_seen.size() && last_seen[c] == v) ++c;
+    if (c == last_seen.size()) last_seen.push_back(kNone);
+    color[v] = static_cast<int>(c);
   }
   return color;
+}
+
+}  // namespace
+
+std::vector<int> greedy_vertex_coloring(
+    const std::vector<std::vector<index_t>>& adjacency) {
+  return first_fit(adjacency.size(), [&](std::size_t v, auto&& mark) {
+    for (const index_t w : adjacency[v]) mark(w);
+  });
 }
 
 ColorClasses greedy_classes(const fem::TriMesh& mesh) {
@@ -56,21 +69,24 @@ ColorClasses greedy_classes(const fem::TriMesh& mesh) {
 }
 
 ColorClasses greedy_classes_from_matrix(const la::CsrMatrix& k) {
-  const index_t n = k.rows();
-  std::vector<std::vector<index_t>> adjacency(n);
   const auto& rp = k.row_ptr();
   const auto& col = k.col_idx();
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t t = rp[i]; t < rp[i + 1]; ++t) {
-      if (col[t] != i) adjacency[i].push_back(col[t]);
-    }
+  // The off-diagonal graph straight from the CSR arrays: the diagonal
+  // entry names the vertex being coloured, which holds no colour yet.
+  const std::vector<int> color =
+      first_fit(static_cast<std::size_t>(k.rows()),
+                [&](std::size_t i, auto&& mark) {
+                  for (index_t t = rp[i]; t < rp[i + 1]; ++t) mark(col[t]);
+                });
+  std::vector<index_t> sizes;
+  for (const int c : color) {
+    if (c >= static_cast<int>(sizes.size())) sizes.resize(c + 1, 0);
+    ++sizes[c];
   }
-  const std::vector<int> color = greedy_vertex_coloring(adjacency);
-  int ncolors = 0;
-  for (int c : color) ncolors = std::max(ncolors, c + 1);
   ColorClasses cc;
-  cc.classes.assign(ncolors, {});
-  for (index_t i = 0; i < n; ++i) cc.classes[color[i]].push_back(i);
+  cc.classes.resize(sizes.size());
+  for (std::size_t c = 0; c < sizes.size(); ++c) cc.classes[c].reserve(sizes[c]);
+  for (index_t i = 0; i < k.rows(); ++i) cc.classes[color[i]].push_back(i);
   return cc;
 }
 

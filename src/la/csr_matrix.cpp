@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace mstep::la {
 
@@ -78,27 +79,24 @@ CsrMatrix CsrMatrix::permuted_symmetric(
   }
   std::vector<index_t> col(rp[rows_]);
   std::vector<double> val(rp[rows_]);
+  // Each row's (new column, value) pairs, sorted by column in one reused
+  // buffer.  Columns are distinct within a row, so the order is unique.
+  std::vector<std::pair<index_t, double>> row;
   for (index_t i = 0; i < rows_; ++i) {
     const index_t old = perm[i];
+    row.resize(static_cast<std::size_t>(rp[i + 1] - rp[i]));
+    auto* entry = row.data();
+    for (index_t k = row_ptr_[old]; k < row_ptr_[old + 1]; ++k, ++entry) {
+      *entry = {inv[col_[k]], val_[k]};
+    }
+    std::sort(row.begin(), row.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     index_t out = rp[i];
-    for (index_t k = row_ptr_[old]; k < row_ptr_[old + 1]; ++k, ++out) {
-      col[out] = inv[col_[k]];
-      val[out] = val_[k];
+    for (const auto& [c, v] : row) {
+      col[out] = c;
+      val[out] = v;
+      ++out;
     }
-    // Restore sorted column order within the row.
-    std::vector<index_t> order(rp[i + 1] - rp[i]);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-      return col[rp[i] + a] < col[rp[i] + b];
-    });
-    std::vector<index_t> c2(order.size());
-    std::vector<double> v2(order.size());
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      c2[t] = col[rp[i] + order[t]];
-      v2[t] = val[rp[i] + order[t]];
-    }
-    std::copy(c2.begin(), c2.end(), col.begin() + rp[i]);
-    std::copy(v2.begin(), v2.end(), val.begin() + rp[i]);
   }
   return CsrMatrix(rows_, cols_, std::move(rp), std::move(col),
                    std::move(val));

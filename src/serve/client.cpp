@@ -55,7 +55,11 @@ std::pair<MsgType, std::string> Client::roundtrip(MsgType type,
 }
 
 SolveResponse Client::solve(const SolveRequest& request) {
-  auto [type, body] = roundtrip(MsgType::kSolve, request.encode());
+  return solve_encoded(request.encode());
+}
+
+SolveResponse Client::solve_encoded(const std::string& payload) {
+  auto [type, body] = roundtrip(MsgType::kSolve, payload);
   if (type == MsgType::kSolveReply) {
     return SolveResponse::decode(body);
   }
@@ -83,10 +87,12 @@ SolveResponse Client::solve_catalog(const std::string& spec,
 SolveResponse Client::solve_with_retry(const SolveRequest& request,
                                        int max_attempts, int backoff_ms,
                                        int* attempts) {
+  // A retry resends the same bytes: encode them once.
+  const std::string payload = request.encode();
   SolveResponse r;
   int backoff = backoff_ms;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    r = solve(request);
+    r = solve_encoded(payload);
     if (attempts != nullptr) *attempts = attempt;
     if (!retryable(r.retcode)) return r;
     if (attempt < max_attempts) {

@@ -61,6 +61,9 @@ class Client {
  private:
   explicit Client(Socket sock) : sock_(std::move(sock)) {}
 
+  /// One solve round trip of an already encoded SolveRequest payload.
+  [[nodiscard]] SolveResponse solve_encoded(const std::string& payload);
+
   /// Send one frame, read one reply.  kErrorReply is decoded and returned
   /// as {kErrorReply, status-payload} so callers can fold it into their
   /// response type.

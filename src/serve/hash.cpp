@@ -3,43 +3,53 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace mstep::serve {
 
-void Fnv1a::bytes(const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    state_ ^= p[i];
-    state_ *= 0x100000001b3ull;  // FNV prime
+namespace {
+
+/// splitmix64's output finalizer: a bijection in which every input bit
+/// reaches every output bit.
+std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Streaming word hash: one mixed 64-bit word folded in per step.
+class WordHash {
+ public:
+  void u64(std::uint64_t v) {
+    state_ = (state_ ^ mix64(v)) * 0x9e3779b97f4a7c15ull;
   }
-}
-
-void Fnv1a::u64(std::uint64_t v) {
-  unsigned char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xffu);
+  void indices(const std::vector<index_t>& v) {
+    for (const index_t x : v) u64(static_cast<std::uint64_t>(x));
   }
-  bytes(buf, sizeof(buf));
-}
+  void f64s(const std::vector<double>& v) {
+    for (const double x : v) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &x, sizeof(bits));
+      u64(bits);
+    }
+  }
 
-void Fnv1a::f64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
+  /// The final mix spreads the high state bits into the low ones.
+  [[nodiscard]] std::uint64_t digest() const { return mix64(state_); }
 
-void Fnv1a::str(const std::string& s) {
-  u64(s.size());  // length prefix keeps "ab","c" distinct from "a","bc"
-  bytes(s.data(), s.size());
-}
+ private:
+  std::uint64_t state_ = 0xcbf29ce484222325ull;
+};
+
+}  // namespace
 
 std::uint64_t matrix_fingerprint(const la::CsrMatrix& m) {
-  Fnv1a h;
+  WordHash h;
   h.u64(static_cast<std::uint64_t>(m.rows()));
   h.u64(static_cast<std::uint64_t>(m.cols()));
-  for (const index_t p : m.row_ptr()) h.u64(static_cast<std::uint64_t>(p));
-  for (const index_t c : m.col_idx()) h.u64(static_cast<std::uint64_t>(c));
-  for (const double v : m.values()) h.f64(v);
+  h.indices(m.row_ptr());
+  h.indices(m.col_idx());
+  h.f64s(m.values());
   return h.digest();
 }
 
@@ -47,12 +57,12 @@ std::uint64_t pipeline_fingerprint(const la::CsrMatrix& m,
                                    const color::ColorClasses& classes) {
   std::uint64_t fp = matrix_fingerprint(m);
   if (classes.classes.empty()) return fp;
-  Fnv1a h;
+  WordHash h;
   h.u64(fp);
   h.u64(classes.classes.size());
   for (const auto& cls : classes.classes) {
     h.u64(cls.size());
-    for (const index_t eq : cls) h.u64(static_cast<std::uint64_t>(eq));
+    h.indices(cls);
   }
   return h.digest();
 }

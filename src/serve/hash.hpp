@@ -3,10 +3,14 @@
 // The cache key is matrix CONTENT hash × canonical SolverConfig string:
 // two requests hit the same entry exactly when they would build the same
 // pipeline, regardless of whether the matrix arrived as a catalog spec,
-// an inline CSR payload, or a fingerprint reference.  FNV-1a over the
-// structural arrays and the value bytes is enough — this is a cache key
-// and a resend-shortcut token, not a cryptographic commitment (a client
-// that must not trust the transport should send the matrix inline).
+// an inline CSR payload, or a fingerprint reference.  The hash takes one
+// 64-bit word per step — each index widened to u64, each value's bit
+// pattern — mixes the word with the splitmix64 finalizer, and folds it
+// into the state by xor and multiply.  Mixing first matters: a plain
+// xor-multiply fold over raw words lets two flipped top bits (two sign
+// flips) cancel.  This is a cache key and a resend-shortcut token, not a
+// cryptographic commitment (a client that must not trust the transport
+// should send the matrix inline).
 #pragma once
 
 #include <cstdint>
@@ -16,20 +20,6 @@
 #include "la/csr_matrix.hpp"
 
 namespace mstep::serve {
-
-/// Streaming 64-bit FNV-1a.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t len);
-  void u64(std::uint64_t v);
-  void f64(double v);
-  void str(const std::string& s);
-
-  [[nodiscard]] std::uint64_t digest() const { return state_; }
-
- private:
-  std::uint64_t state_ = 0xcbf29ce484222325ull;  // FNV offset basis
-};
 
 /// Fingerprint of a CSR matrix: dimensions, row pointers, column indices,
 /// and the exact value bit patterns.  Equal hash <=> (with the usual

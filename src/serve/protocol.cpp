@@ -25,19 +25,79 @@ bool retryable(Retcode rc) {
   return rc == Retcode::kBusy || rc == Retcode::kShuttingDown;
 }
 
+// ---- fixed-width little-endian copies -------------------------------------
+
+namespace {
+
+// Every integer and double crosses the wire as one fixed-width copy of
+// its little-endian bytes.  A big-endian host byte-swaps inside the same
+// copy, so both hosts run one code path.
+constexpr bool kLittleEndianHost = __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
+
+std::uint32_t to_le(std::uint32_t v) {
+  if constexpr (kLittleEndianHost) return v;
+  return __builtin_bswap32(v);
+}
+
+std::uint64_t to_le(std::uint64_t v) {
+  if constexpr (kLittleEndianHost) return v;
+  return __builtin_bswap64(v);
+}
+
+template <class T>
+void put_le(char* dst, T v) {
+  v = to_le(v);
+  std::memcpy(dst, &v, sizeof(v));
+}
+
+template <class T>
+T get_le(const char* src) {
+  T v;
+  std::memcpy(&v, src, sizeof(v));
+  return to_le(v);  // the swap is its own inverse
+}
+
+/// n doubles as their little-endian IEEE-754 bit patterns.
+void put_f64s(char* dst, const double* src, std::size_t n) {
+  static_assert(sizeof(double) == 8, "IEEE-754 double expected");
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t bits;
+    std::memcpy(&bits, src + i, 8);
+    put_le(dst + 8 * i, bits);
+  }
+}
+
+void get_f64s(double* dst, const char* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto bits = get_le<std::uint64_t>(src + 8 * i);
+    std::memcpy(dst + i, &bits, 8);
+  }
+}
+
+/// Index arrays travel widened to u64 each.
+char* put_indices(char* dst, const std::vector<index_t>& v) {
+  put_le(dst, static_cast<std::uint64_t>(v.size()));
+  dst += 8;
+  for (const index_t x : v) {
+    put_le(dst, static_cast<std::uint64_t>(x));
+    dst += 8;
+  }
+  return dst;
+}
+
+}  // namespace
+
 // ---- writer ----------------------------------------------------------------
 
-void WireWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
+char* WireWriter::grow(std::size_t n) {
+  const std::size_t at = out_.size();
+  out_.resize(at + n);
+  return &out_[at];
 }
 
-void WireWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
+void WireWriter::u32(std::uint32_t v) { put_le(grow(4), v); }
+
+void WireWriter::u64(std::uint64_t v) { put_le(grow(8), v); }
 
 void WireWriter::f64(double v) {
   std::uint64_t bits = 0;
@@ -55,57 +115,46 @@ void WireWriter::str(const std::string& s) {
 }
 
 void WireWriter::vec(const Vec& v) {
-  u64(v.size());
-  for (const double x : v) f64(x);
+  char* dst = grow(8 + 8 * v.size());
+  put_le(dst, static_cast<std::uint64_t>(v.size()));
+  put_f64s(dst + 8, v.data(), v.size());
 }
 
 void WireWriter::csr(const la::CsrMatrix& m) {
-  u64(static_cast<std::uint64_t>(m.rows()));
-  u64(static_cast<std::uint64_t>(m.cols()));
-  u64(m.row_ptr().size());
-  for (const index_t p : m.row_ptr()) u64(static_cast<std::uint64_t>(p));
-  u64(m.col_idx().size());
-  for (const index_t c : m.col_idx()) u64(static_cast<std::uint64_t>(c));
-  u64(m.values().size());
-  for (const double v : m.values()) f64(v);
+  const std::size_t nptr = m.row_ptr().size();
+  const std::size_t nnz = m.col_idx().size();
+  const std::size_t nval = m.values().size();
+  char* dst = grow(8 * (2 + 1 + nptr + 1 + nnz + 1 + nval));
+  put_le(dst, static_cast<std::uint64_t>(m.rows()));
+  put_le(dst + 8, static_cast<std::uint64_t>(m.cols()));
+  dst = put_indices(dst + 16, m.row_ptr());
+  dst = put_indices(dst, m.col_idx());
+  put_le(dst, static_cast<std::uint64_t>(nval));
+  put_f64s(dst + 8, m.values().data(), nval);
 }
 
 // ---- reader ----------------------------------------------------------------
 
 void WireReader::need(std::size_t n) const {
-  if (pos_ + n > bytes_.size()) {
+  if (n > bytes_.size() - pos_) {
     throw ProtocolError("truncated payload");
   }
 }
 
+const char* WireReader::take(std::size_t n) {
+  need(n);
+  const char* p = bytes_.data() + pos_;
+  pos_ += n;
+  return p;
+}
+
 std::uint8_t WireReader::u8() {
-  need(1);
-  return static_cast<std::uint8_t>(bytes_[pos_++]);
+  return static_cast<std::uint8_t>(*take(1));
 }
 
-std::uint32_t WireReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
+std::uint32_t WireReader::u32() { return get_le<std::uint32_t>(take(4)); }
 
-std::uint64_t WireReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
+std::uint64_t WireReader::u64() { return get_le<std::uint64_t>(take(8)); }
 
 double WireReader::f64() {
   const std::uint64_t bits = u64();
@@ -116,10 +165,8 @@ double WireReader::f64() {
 
 std::string WireReader::str() {
   const std::uint32_t n = u32();
-  need(n);
-  std::string s = bytes_.substr(pos_, n);
-  pos_ += n;
-  return s;
+  const char* p = take(n);
+  return std::string(p, n);
 }
 
 namespace {
@@ -133,19 +180,6 @@ std::uint64_t checked_count(std::uint64_t n, const char* what) {
   return n;
 }
 
-}  // namespace
-
-Vec WireReader::vec() {
-  const std::uint64_t n = checked_count(u64(), "vector");
-  need(static_cast<std::size_t>(n) * 8);
-  Vec v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
-  return v;
-}
-
-namespace {
-
 index_t checked_index(std::uint64_t v, const char* what) {
   if (v > static_cast<std::uint64_t>(std::numeric_limits<index_t>::max())) {
     throw ProtocolError(std::string(what) + " out of index range");
@@ -155,25 +189,35 @@ index_t checked_index(std::uint64_t v, const char* what) {
 
 }  // namespace
 
+Vec WireReader::vec() { return f64_array("vector"); }
+
+Vec WireReader::f64_array(const char* what) {
+  const std::uint64_t n = checked_count(u64(), what);
+  const char* src = take(static_cast<std::size_t>(n) * 8);
+  Vec v(static_cast<std::size_t>(n));
+  get_f64s(v.data(), src, v.size());
+  return v;
+}
+
+std::vector<index_t> WireReader::indices(const char* count_what,
+                                         const char* entry_what) {
+  const std::uint64_t n = checked_count(u64(), count_what);
+  const char* src = take(static_cast<std::size_t>(n) * 8);
+  std::vector<index_t> v(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = checked_index(get_le<std::uint64_t>(src + 8 * i), entry_what);
+  }
+  return v;
+}
+
 la::CsrMatrix WireReader::csr() {
   const index_t rows = checked_index(u64(), "rows");
   const index_t cols = checked_index(u64(), "cols");
-  const std::uint64_t nptr = checked_count(u64(), "row_ptr");
-  std::vector<index_t> row_ptr;
-  row_ptr.reserve(nptr);
-  for (std::uint64_t i = 0; i < nptr; ++i) {
-    row_ptr.push_back(checked_index(u64(), "row_ptr entry"));
-  }
-  const std::uint64_t ncol = checked_count(u64(), "col_idx");
-  std::vector<index_t> col;
-  col.reserve(ncol);
-  for (std::uint64_t i = 0; i < ncol; ++i) {
-    col.push_back(checked_index(u64(), "col_idx entry"));
-  }
-  const std::uint64_t nval = checked_count(u64(), "values");
-  std::vector<double> val;
-  val.reserve(nval);
-  for (std::uint64_t i = 0; i < nval; ++i) val.push_back(f64());
+  std::vector<index_t> row_ptr = indices("row_ptr", "row_ptr entry");
+  std::vector<index_t> col = indices("col_idx", "col_idx entry");
+  Vec val = f64_array("values");
+  const std::uint64_t nptr = row_ptr.size();
+  const std::uint64_t ncol = col.size();
   // Every later stage indexes through these arrays unchecked: reject a
   // structure that would send it out of bounds.
   const auto reject = [](const std::string& why) {

@@ -69,7 +69,8 @@ enum class Retcode : std::uint32_t {
 
 // ---- payload codec ---------------------------------------------------------
 
-/// Append-only little-endian payload builder.
+/// Append-only little-endian payload builder.  Arrays are sized once and
+/// written whole, so encoding costs one pass over the payload bytes.
 class WireWriter {
  public:
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
@@ -87,11 +88,15 @@ class WireWriter {
   [[nodiscard]] std::string take() { return std::move(out_); }
 
  private:
+  /// Extends the payload by n bytes; returns where they start.
+  char* grow(std::size_t n);
+
   std::string out_;
 };
 
 /// Bounds-checked reader over one received payload; every getter throws
-/// ProtocolError("truncated payload") past the end.
+/// ProtocolError("truncated payload") past the end.  Arrays are checked
+/// for length once and then read whole.
 class WireReader {
  public:
   explicit WireReader(const std::string& bytes) : bytes_(bytes) {}
@@ -113,6 +118,11 @@ class WireReader {
 
  private:
   void need(std::size_t n) const;
+  /// Consumes n bytes; returns where they start.
+  const char* take(std::size_t n);
+  /// A u64 count, then that many f64 / u64-widened indices.
+  Vec f64_array(const char* what);
+  std::vector<index_t> indices(const char* count_what, const char* entry_what);
 
   const std::string& bytes_;
   std::size_t pos_ = 0;

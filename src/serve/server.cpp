@@ -269,10 +269,10 @@ bool Server::handle_frame(Socket& sock, MsgType type,
       try {
         response = handle_solve(SolveRequest::decode(payload));
       } catch (const ProtocolError& e) {
-        metrics_.count_error();
         response.retcode = Retcode::kProtocol;
         response.message = e.what();
       }
+      // One count per failed request, undecodable payloads included.
       if (response.retcode != Retcode::kOk &&
           response.retcode != Retcode::kBusy) {
         metrics_.count_error();

@@ -1,5 +1,7 @@
 // The serve subsystem's process-local contracts: wire codec round-trips
-// (including truncation and bad-magic rejection), content fingerprints,
+// (including truncation and bad-magic rejection), golden bytes written by
+// hand from docs/protocol.md, bitwise transport of special doubles,
+// content fingerprints,
 // the prepared-pipeline cache (hit on identical matrix+config, miss when
 // either changes, LRU eviction under a tiny byte budget, bitwise identity
 // with a direct Solver run), the admission gate, and the latency
@@ -7,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -202,12 +207,247 @@ TEST(Wire, RetcodeCatalog) {
   EXPECT_FALSE(retryable(Retcode::kUnknownMatrix));
 }
 
+// ---- wire compatibility ----------------------------------------------------
+
+/// Payload bytes spelled out one field at a time from the docs/protocol.md
+/// layout, byte by byte in little-endian order — independent of the codec
+/// under test.
+struct Golden {
+  std::string bytes;
+
+  Golden& u8(unsigned v) {
+    bytes.push_back(static_cast<char>(v & 0xffu));
+    return *this;
+  }
+  Golden& u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8((v >> (8 * i)) & 0xffu);
+    return *this;
+  }
+  Golden& u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<unsigned>((v >> (8 * i)) & 0xffu));
+    return *this;
+  }
+  Golden& f64(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return u64(bits);
+  }
+  Golden& str(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes += s;
+    return *this;
+  }
+  Golden& vec(const Vec& v) {
+    u64(v.size());
+    for (const double x : v) f64(x);
+    return *this;
+  }
+};
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+void expect_same_bits(const Vec& got, const Vec& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(bits_of(got[i]), bits_of(want[i])) << "element " << i;
+  }
+}
+
+TEST(WireGolden, InlineCsrSolveRequestMatchesTheDocumentedLayout) {
+  SolveRequest q;
+  q.source = MatrixSource::kInlineCsr;
+  // [2 -1; -1 3]
+  q.matrix = la::CsrMatrix(2, 2, {0, 2, 4}, {0, 1, 0, 1}, {2.0, -1.0, -1.0, 3.0});
+  q.config = "m=2";
+  q.rhs = {{1.0, -0.5}};
+  q.want_trace = true;
+
+  Golden g;
+  g.u8(1);                                   // source: inline CSR
+  g.u64(2).u64(2);                           // rows, cols
+  g.u64(3).u64(0).u64(2).u64(4);             // row_ptr
+  g.u64(4).u64(0).u64(1).u64(0).u64(1);      // col_idx
+  g.u64(4).f64(2.0).f64(-1.0).f64(-1.0).f64(3.0);  // values
+  g.str("m=2");                              // config
+  g.u32(1).vec({1.0, -0.5});                 // rhs
+  g.u8(1);                                   // want_trace
+  // Spot-check the hand encoder itself: u64 2 is 02 00 .. 00.
+  ASSERT_EQ(g.bytes.substr(1, 8), std::string("\x02\0\0\0\0\0\0\0", 8));
+
+  EXPECT_EQ(q.encode(), g.bytes);
+  const SolveRequest back = SolveRequest::decode(g.bytes);
+  EXPECT_EQ(back.source, q.source);
+  EXPECT_EQ(back.matrix.rows(), 2);
+  EXPECT_EQ(back.matrix.cols(), 2);
+  EXPECT_EQ(back.matrix.row_ptr(), q.matrix.row_ptr());
+  EXPECT_EQ(back.matrix.col_idx(), q.matrix.col_idx());
+  expect_same_bits(back.matrix.values(), q.matrix.values());
+  EXPECT_EQ(back.config, q.config);
+  ASSERT_EQ(back.rhs.size(), 1u);
+  expect_same_bits(back.rhs[0], q.rhs[0]);
+  EXPECT_TRUE(back.want_trace);
+}
+
+TEST(WireGolden, TwoResultSolveResponseMatchesTheDocumentedLayout) {
+  SolveResponse p;
+  p.retcode = Retcode::kOk;
+  p.cache_hit = true;
+  p.fingerprint = 0x0123456789abcdefull;
+  p.format_selected = "dia";
+  p.setup_seconds = 0.25;
+  p.solve_seconds = 1.5;
+  RhsResult good;
+  good.ok = true;
+  good.converged = true;
+  good.iterations = 7;
+  good.final_delta_inf = 1e-9;
+  good.solution = {1.0, -2.0};
+  RhsResult bad;
+  bad.error = "singular splitting";
+  p.results = {good, bad};
+  p.request_id = 9;
+  p.trace = "{}";
+
+  Golden g;
+  g.u32(0);                     // retcode ok
+  g.u8(1);                      // cache_hit
+  g.u64(0x0123456789abcdefull); // fingerprint
+  g.str("dia");                 // format_selected
+  g.f64(0.25).f64(1.5);         // setup_seconds, solve_seconds
+  g.u32(2);                     // result count
+  g.u8(1).u8(1).u32(7).f64(1e-9).vec({1.0, -2.0});  // ok result
+  g.u8(0).str("singular splitting");               // failed result
+  g.u64(9);                     // request_id
+  g.str("{}");                  // trace
+  ASSERT_EQ(g.bytes.substr(5, 8), std::string("\xef\xcd\xab\x89\x67\x45\x23\x01", 8));
+
+  EXPECT_EQ(p.encode(), g.bytes);
+  const SolveResponse back = SolveResponse::decode(g.bytes);
+  EXPECT_EQ(back.retcode, p.retcode);
+  EXPECT_EQ(back.cache_hit, p.cache_hit);
+  EXPECT_EQ(back.fingerprint, p.fingerprint);
+  EXPECT_EQ(back.format_selected, p.format_selected);
+  EXPECT_EQ(back.setup_seconds, p.setup_seconds);
+  EXPECT_EQ(back.solve_seconds, p.solve_seconds);
+  EXPECT_EQ(back.results, p.results);
+  EXPECT_EQ(back.request_id, p.request_id);
+  EXPECT_EQ(back.trace, p.trace);
+}
+
+TEST(WireGolden, FrameHeaderMatchesTheDocumentedLayout) {
+  Golden g;
+  g.u32(0x3156534du).u32(1).u64(300);
+  EXPECT_EQ(g.bytes.substr(0, 4), "MSV1");
+  EXPECT_EQ(encode_header(MsgType::kSolve, 300), g.bytes);
+}
+
+TEST(Wire, SpecialDoublesAndExtremeIndicesRoundTripBitwise) {
+  const Vec specials = {
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      from_bits(0x7ff8dead0000beefull),  // quiet NaN with a payload
+      from_bits(0xfff8000000000001ull),  // negative NaN, other payload
+      std::numeric_limits<double>::denorm_min(),
+      from_bits(0x000fffffffffffffull),  // largest subnormal
+  };
+  constexpr index_t kMax = std::numeric_limits<index_t>::max();
+
+  SolveRequest q;
+  q.source = MatrixSource::kInlineCsr;
+  // One row of a kMax-column matrix: the extreme index the wire accepts.
+  q.matrix = la::CsrMatrix(1, kMax, {0, 2}, {0, kMax - 1}, {-0.0, specials[3]});
+  q.rhs = {specials};
+  const SolveRequest back = SolveRequest::decode(q.encode());
+  EXPECT_EQ(back.matrix.cols(), kMax);
+  EXPECT_EQ(back.matrix.col_idx(), q.matrix.col_idx());
+  expect_same_bits(back.matrix.values(), q.matrix.values());
+  ASSERT_EQ(back.rhs.size(), 1u);
+  expect_same_bits(back.rhs[0], specials);
+
+  SolveResponse p;
+  RhsResult r;
+  r.ok = true;
+  r.final_delta_inf = specials[3];
+  r.solution = specials;
+  p.results = {r};
+  const SolveResponse p_back = SolveResponse::decode(p.encode());
+  ASSERT_EQ(p_back.results.size(), 1u);
+  EXPECT_EQ(bits_of(p_back.results[0].final_delta_inf), bits_of(specials[3]));
+  expect_same_bits(p_back.results[0].solution, specials);
+
+  // INT32_MAX is the largest index; one past it is refused.
+  Golden g;
+  g.u64(1).u64(static_cast<std::uint64_t>(kMax) + 1);
+  WireReader reader(g.bytes);
+  try {
+    (void)reader.csr();
+    ADD_FAILURE() << "accepted cols = INT32_MAX + 1";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("out of index range"),
+              std::string::npos)
+        << e.what();
+  }
+  Golden entry;
+  entry.u64(1).u64(2).u64(2).u64(0).u64(1);
+  entry.u64(1).u64(static_cast<std::uint64_t>(kMax) + 1);
+  WireReader entry_reader(entry.bytes);
+  EXPECT_THROW((void)entry_reader.csr(), ProtocolError);
+}
+
 TEST(Hash, ContentSensitivity) {
   const la::CsrMatrix a = tiny_spd();
   la::CsrMatrix b = tiny_spd();
   EXPECT_EQ(matrix_fingerprint(a), matrix_fingerprint(b));
   b.values()[0] = std::nextafter(b.values()[0], 5.0);  // one ulp flips it
   EXPECT_NE(matrix_fingerprint(a), matrix_fingerprint(b));
+}
+
+TEST(Hash, SmallEditsAllFingerprintApart) {
+  // [5 1 0; 1 6 2; 0 2 7] with distinct values.
+  const la::CsrMatrix base(3, 3, {0, 2, 5, 7}, {0, 1, 0, 1, 2, 1, 2},
+                           {5.0, 1.5, 1.25, 6.0, 2.5, 2.25, 7.0});
+  std::vector<la::CsrMatrix> edits;
+  {
+    // Two sign flips: each flips bit 63 of one word.
+    la::CsrMatrix m = base;
+    m.values()[1] = -m.values()[1];
+    m.values()[4] = -m.values()[4];
+    edits.push_back(m);
+  }
+  {
+    la::CsrMatrix m = base;
+    std::swap(m.values()[0], m.values()[6]);
+    edits.push_back(m);
+  }
+  {
+    // Two column indices of row 1 swapped (values stay in place).
+    std::vector<index_t> col = base.col_idx();
+    std::swap(col[2], col[4]);
+    edits.emplace_back(3, 3, base.row_ptr(), col, base.values());
+  }
+  {
+    std::vector<index_t> rp = base.row_ptr();
+    rp.push_back(rp.back());
+    edits.emplace_back(4, 3, rp, base.col_idx(), base.values());
+  }
+  std::vector<std::uint64_t> fps = {matrix_fingerprint(base)};
+  for (const la::CsrMatrix& m : edits) fps.push_back(matrix_fingerprint(m));
+  for (std::size_t a = 0; a < fps.size(); ++a) {
+    for (std::size_t b = a + 1; b < fps.size(); ++b) {
+      EXPECT_NE(fps[a], fps[b]) << "variants " << a << " and " << b;
+    }
+  }
 }
 
 TEST(Hash, ClassesFoldIntoPipelineFingerprint) {

@@ -250,6 +250,49 @@ TEST(Served, HostileInlineCsrGetsAnErrorAndTheDaemonKeepsServing) {
             Retcode::kOk);
 }
 
+TEST(Served, EachFailedRequestCountsOneError) {
+  const std::string sock = sock_path("errcount");
+  ServedServer daemon(unix_options(sock));
+  Client client = Client::connect("unix:" + sock);
+
+  // An inline CSR that fails to decode, then a well-formed request the
+  // server refuses: two failed requests, two errors.
+  SolveRequest hostile;
+  hostile.source = MatrixSource::kInlineCsr;
+  hostile.matrix = la::CsrMatrix(2, 2, {0, 1, 5}, {7}, {1.0});
+  ASSERT_EQ(client.solve(hostile).retcode, Retcode::kProtocol);
+  SolveRequest bad_rhs;
+  bad_rhs.source = MatrixSource::kCatalog;
+  bad_rhs.problem = "poisson2d:n=8";
+  bad_rhs.rhs = {Vec(3, 1.0)};
+  ASSERT_EQ(client.solve(bad_rhs).retcode, Retcode::kBadRequest);
+
+  const StatusResponse status = client.metrics();
+  ASSERT_EQ(status.retcode, Retcode::kOk);
+  EXPECT_EQ(metrics_field(status.body, "solve"), 2);
+  EXPECT_EQ(metrics_field(status.body, "errors"), 2);
+}
+
+TEST(Served, CatalogSpecAndInlineCsrShareOneFingerprint) {
+  const std::string sock = sock_path("samefp");
+  ServedServer daemon(unix_options(sock));
+  Client client = Client::connect("unix:" + sock);
+  // A catalog problem without closed-form classes: its pipeline input is
+  // the matrix alone, however it arrives.
+  const std::string spec = "randspd:n=300:band=4:seed=3";
+  const SolveResponse by_spec = client.solve_catalog(spec, "splitting=ssor;m=2");
+  ASSERT_EQ(by_spec.retcode, Retcode::kOk) << by_spec.message;
+
+  SolveRequest inline_request;
+  inline_request.source = MatrixSource::kInlineCsr;
+  inline_request.matrix = problems::ProblemRegistry::instance().create(spec).matrix;
+  inline_request.config = "splitting=ssor;m=2";
+  const SolveResponse by_inline = client.solve(inline_request);
+  ASSERT_EQ(by_inline.retcode, Retcode::kOk) << by_inline.message;
+  EXPECT_EQ(by_inline.fingerprint, by_spec.fingerprint);
+  EXPECT_TRUE(by_inline.cache_hit);
+}
+
 TEST(Served, MetricsDocumentCountsTraffic) {
   const std::string sock = sock_path("metrics");
   ServedServer daemon(unix_options(sock));

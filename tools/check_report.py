@@ -143,6 +143,8 @@ SERVED_ROW_SCHEMA = {
     "mean_ms": (int, float),
     "p50_ms": (int, float),
     "p99_ms": (int, float),
+    "miss_p50_ms": (int, float),
+    "request_mib": (int, float),
     "cache_hit_rate": (int, float),
     "busy_retries": (int,),
     "converged": (bool,),

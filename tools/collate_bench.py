@@ -123,7 +123,7 @@ TRAJECTORY_KEYS = {
 TRAJECTORY_METRICS = {
     "batch": "speedup_vs_seq_threaded,iterations_total,wall_seconds",
     "scaling": "speedup_vs_serial,iterations,wall_seconds",
-    "served": "cache_hit_rate,throughput_rps,p99_ms",
+    "served": "cache_hit_rate,throughput_rps,p99_ms,miss_p50_ms",
     "kernels": "simd_speedup,gb_per_s",
     "corpus": "iterations,solve_seconds,setup_seconds",
 }
