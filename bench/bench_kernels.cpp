@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
       // valid rows in ascending offset order — the DIA SpMV's defined
       // operation order.
       Vec triads(static_cast<std::size_t>(n), 0.0);
-      for (index_t d = 0; d < dia.num_diagonals(); ++d) {
+      for (index_t d = 0; d < dia.num_nonzero_diagonals(); ++d) {
         const index_t off = dia.offsets()[d];
         const double* v =
             dia.values().data() + static_cast<std::size_t>(d) * n;

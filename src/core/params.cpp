@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "la/dense_matrix.hpp"
@@ -70,7 +71,20 @@ std::vector<double> least_squares_alphas(
       for (int j = 0; j < m; ++j) gram(i, j) += wq * f[i] * f[j];
     }
   }
-  std::vector<double> a = la::solve_cholesky(gram, rhs);
+  // The (1 - lambda)^i basis makes the Gram matrix ill-conditioned fast:
+  // on [0, 1] it stops being positive definite in doubles at m = 14.
+  std::vector<double> a;
+  try {
+    a = la::solve_cholesky(gram, rhs);
+  } catch (const std::runtime_error&) {
+    std::ostringstream msg;
+    msg << "least_squares_alphas: the normal equations for m=" << m
+        << " on [" << iv.lambda_min << ", " << iv.lambda_max
+        << "] are not positive definite in double precision; use m <= 13"
+        << " (the largest that solves on the SSOR interval [0, 1]), or"
+        << " params=minmax with a measured interval=<l_min>,<l_max>";
+    throw std::invalid_argument(msg.str());
+  }
   if (normalize_alpha0) normalize(a);
   return a;
 }

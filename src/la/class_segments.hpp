@@ -87,9 +87,9 @@ class ClassSegments {
   [[nodiscard]] Strip strip(index_t k, index_t strips) const {
     const bool dia = layout_ == SegmentLayout::kDia;
     const index_t rows = row_end_ - row_begin_;
-    const index_t window_rows = dia ? 1 : sell_.sigma();
+    const index_t window_rows = dia ? 1 : SellMatrix::kDefaultSigma;
     const index_t window_parts =
-        dia ? 1 : sell_.sigma() / SellMatrix::kSliceHeight;
+        dia ? 1 : SellMatrix::kDefaultSigma / SellMatrix::kSliceHeight;
     const index_t windows = (rows + window_rows - 1) / window_rows;
     const index_t w0 = (k * windows + strips - 1) / strips;
     const index_t w1 = ((k + 1) * windows + strips - 1) / strips;
@@ -111,16 +111,6 @@ class ClassSegments {
     } else {
       simd::sell_sweep_slices(sell_.view(), x, u, part_begin, part_end);
     }
-  }
-
-  /// out[i] = -(row i's segment . x) for every row i of parts
-  /// [part_begin, part_end) — the kSave pass into `out`.
-  void neg_sums(const double* x, double* out, index_t part_begin,
-                index_t part_end) const {
-    simd::RowUpdate save;
-    save.mode = simd::RowUpdate::Mode::kSave;
-    save.y = out;
-    sweep(x, save, part_begin, part_end);
   }
 
   /// Doubles one pass reads, padding and holes included.

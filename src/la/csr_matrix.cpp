@@ -35,15 +35,19 @@ double CsrMatrix::at(index_t i, index_t j) const {
 void CsrMatrix::multiply(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == cols_);
   y.resize(rows_);
-  simd::csr_spmv_rows(row_ptr_.data(), col_.data(), val_.data(), x.data(),
-                      y.data(), 0, rows_, /*subtract=*/false);
+  multiply_parts(x.data(), y.data(), 0, rows_, /*subtract=*/false);
 }
 
 void CsrMatrix::multiply_sub(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == cols_);
   assert(static_cast<index_t>(y.size()) == rows_);
-  simd::csr_spmv_rows(row_ptr_.data(), col_.data(), val_.data(), x.data(),
-                      y.data(), 0, rows_, /*subtract=*/true);
+  multiply_parts(x.data(), y.data(), 0, rows_, /*subtract=*/true);
+}
+
+void CsrMatrix::multiply_parts(const double* x, double* y, index_t part_begin,
+                               index_t part_end, bool subtract) const {
+  simd::csr_spmv_rows(row_ptr_.data(), col_.data(), val_.data(), x, y,
+                      part_begin, part_end, subtract);
 }
 
 void CsrMatrix::residual(const Vec& b, const Vec& x, Vec& r) const {

@@ -40,6 +40,15 @@ class CsrMatrix {
   /// y = y - A x  (residual update form used in the CG loop)
   void multiply_sub(const Vec& x, Vec& y) const;
 
+  /// The units multiply_parts splits a product into: rows.
+  [[nodiscard]] index_t num_parts() const { return rows_; }
+
+  /// Rows [part_begin, part_end) of y = A x, or of y -= A x when
+  /// `subtract`: one simd::csr_spmv_rows pass.  Each row's sum depends
+  /// only on the row, so any partition gives the bits of one whole call.
+  void multiply_parts(const double* x, double* y, index_t part_begin,
+                      index_t part_end, bool subtract) const;
+
   /// r = b - A x
   void residual(const Vec& b, const Vec& x, Vec& r) const;
 

@@ -97,30 +97,31 @@ DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a) {
   return m;
 }
 
-bool DiaMatrix::profitable(const CsrMatrix& a, double max_fill) {
+bool DiaMatrix::profitable(const CsrMatrix& a) {
   if (a.rows() != a.cols() || a.nnz() == 0) return false;
   const double stored = static_cast<double>(a.num_nonzero_diagonals()) *
                         static_cast<double>(a.rows());
-  return stored <= max_fill * static_cast<double>(a.nnz());
+  return stored <= kDefaultMaxFill * static_cast<double>(a.nnz());
 }
 
 void DiaMatrix::multiply(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == n_);
   y.resize(n_);
-  multiply_rows(x.data(), y.data(), 0, n_, /*subtract=*/false);
+  multiply_parts(x.data(), y.data(), 0, n_, /*subtract=*/false);
 }
 
 void DiaMatrix::multiply_sub(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == n_);
   assert(static_cast<index_t>(y.size()) == n_);
-  multiply_rows(x.data(), y.data(), 0, n_, /*subtract=*/true);
+  multiply_parts(x.data(), y.data(), 0, n_, /*subtract=*/true);
 }
 
-void DiaMatrix::multiply_rows(const double* x, double* y, index_t row_begin,
-                              index_t row_end, bool subtract) const {
+void DiaMatrix::multiply_parts(const double* x, double* y,
+                               index_t part_begin, index_t part_end,
+                               bool subtract) const {
   simd::dia_sweep_rows(runs_.view(val_.data(), 0), x,
-                       simd::RowUpdate::spmv(y, subtract), row_begin,
-                       row_end);
+                       simd::RowUpdate::spmv(y, subtract), part_begin,
+                       part_end);
 }
 
 DiaSegments DiaSegments::build(const CsrMatrix& a, const DiaMatrix& dia,

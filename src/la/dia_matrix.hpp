@@ -65,15 +65,21 @@ class DiaMatrix {
   /// nonzero.  Throws if the matrix is not square.
   static DiaMatrix from_csr(const CsrMatrix& a);
 
+  /// Bandedness threshold for `profitable`: diagonal storage may cost at
+  /// most 4 times the nonzero count.
+  static constexpr double kDefaultMaxFill = 4.0;
+
   /// Bandedness probe: true when storing `a` by diagonals costs at most
-  /// `max_fill` times its nonzero count (each diagonal is stored at full
-  /// length n).  Multicolour-permuted stencils pass easily; a matrix with
-  /// scattered structure fails and should stay in CSR.
-  [[nodiscard]] static bool profitable(const CsrMatrix& a,
-                                       double max_fill = 4.0);
+  /// kDefaultMaxFill times its nonzero count (each diagonal is stored at
+  /// full length n).  Multicolour-permuted stencils pass easily; a matrix
+  /// with scattered structure fails and should stay in CSR.
+  [[nodiscard]] static bool profitable(const CsrMatrix& a);
 
   [[nodiscard]] index_t rows() const { return n_; }
-  [[nodiscard]] index_t num_diagonals() const {
+  [[nodiscard]] index_t cols() const { return n_; }
+  /// Every stored diagonal holds a nonzero: the kernel-log pricing of an
+  /// SpMV, as CsrMatrix counts it.
+  [[nodiscard]] index_t num_nonzero_diagonals() const {
     return static_cast<index_t>(offsets_.size());
   }
   [[nodiscard]] const std::vector<index_t>& offsets() const {
@@ -89,12 +95,15 @@ class DiaMatrix {
   /// y = y - A x
   void multiply_sub(const Vec& x, Vec& y) const;
 
-  /// Rows [row_begin, row_end) of y = A x, or of y -= A x when
+  /// The units multiply_parts splits a product into: rows.
+  [[nodiscard]] index_t num_parts() const { return n_; }
+
+  /// Rows [part_begin, part_end) of y = A x, or of y -= A x when
   /// `subtract`: one simd::dia_sweep_rows pass, each element adding its
   /// terms to +0 (or subtracting them from y) in ascending offset order, so
   /// any partition of the rows gives the bits of one whole-range call.
-  void multiply_rows(const double* x, double* y, index_t row_begin,
-                     index_t row_end, bool subtract) const;
+  void multiply_parts(const double* x, double* y, index_t part_begin,
+                      index_t part_end, bool subtract) const;
 
   /// Total stored doubles (n per diagonal) — the storage cost of the
   /// scheme, reported by the kernel bench.

@@ -2,20 +2,18 @@
 //
 // Algorithm 1 needs only y = A x (and the derived residual update) from
 // the system matrix, so the PCG driver is written against this non-owning
-// view rather than a concrete storage format.  CSR and the Madsen–
-// Rodrigue–Karush diagonal storage both adapt to it, letting one solver
-// serve both the general-sparsity path and the vector-machine layout the
-// paper times in Section 3.1.
+// view rather than a concrete storage format.  One template adapts every
+// storage format to it: CSR, the Madsen–Rodrigue–Karush diagonal storage
+// the paper times in Section 3.1, and SELL-C-sigma each expose the same
+// range product (multiply_parts over num_parts), and MatrixOperator<M>
+// runs it serially or through a par::Execution.
 #pragma once
 
 #include "la/csr_matrix.hpp"
 #include "la/dia_matrix.hpp"
 #include "la/sell_matrix.hpp"
 #include "la/vector.hpp"
-
-namespace mstep::par {
-class Execution;  // par/execution.hpp — the threaded kernel policy
-}
+#include "par/execution.hpp"
 
 namespace mstep::la {
 
@@ -38,9 +36,13 @@ class LinearOperator {
   /// base implementations ignore `exec` and run serially, so custom
   /// operators stay correct without opting in.
   virtual void multiply(const Vec& x, Vec& y,
-                        const par::Execution& exec) const;
+                        const par::Execution& /*exec*/) const {
+    multiply(x, y);
+  }
   virtual void multiply_sub(const Vec& x, Vec& y,
-                            const par::Execution& exec) const;
+                            const par::Execution& /*exec*/) const {
+    multiply_sub(x, y);
+  }
 
   /// Number of nonzero (generalized) diagonals — the instrumentation
   /// stream prices an SpMV as this many vector triads (Section 3.1).
@@ -58,10 +60,14 @@ class LinearOperator {
   }
 };
 
-/// CSR-backed view.
-class CsrOperator final : public LinearOperator {
+/// View of a matrix M with multiply, multiply_sub, num_nonzero_diagonals
+/// and the range product par::Execution splits (num_parts,
+/// multiply_parts).  Every format's products keep their bits under any
+/// Execution: SELL's are CSR's, DIA's differ from CSR's in the last place.
+template <class M>
+class MatrixOperator final : public LinearOperator {
  public:
-  explicit CsrOperator(const CsrMatrix& a) : a_(&a) {}
+  explicit MatrixOperator(const M& a) : a_(&a) {}
 
   [[nodiscard]] index_t rows() const override { return a_->rows(); }
   void multiply(const Vec& x, Vec& y) const override { a_->multiply(x, y); }
@@ -69,60 +75,25 @@ class CsrOperator final : public LinearOperator {
     a_->multiply_sub(x, y);
   }
   void multiply(const Vec& x, Vec& y,
-                const par::Execution& exec) const override;
+                const par::Execution& exec) const override {
+    exec.spmv(*a_, x, y);
+  }
   void multiply_sub(const Vec& x, Vec& y,
-                    const par::Execution& exec) const override;
+                    const par::Execution& exec) const override {
+    exec.spmv_sub(*a_, x, y);
+  }
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_nonzero_diagonals();
   }
 
  private:
-  const CsrMatrix* a_;
+  const M* a_;
 };
 
-/// Diagonal-storage-backed view (the CYBER 203/205 kernel layout).
-class DiaOperator final : public LinearOperator {
- public:
-  explicit DiaOperator(const DiaMatrix& a) : a_(&a) {}
-
-  [[nodiscard]] index_t rows() const override { return a_->rows(); }
-  void multiply(const Vec& x, Vec& y) const override { a_->multiply(x, y); }
-  void multiply_sub(const Vec& x, Vec& y) const override {
-    a_->multiply_sub(x, y);
-  }
-  void multiply(const Vec& x, Vec& y,
-                const par::Execution& exec) const override;
-  void multiply_sub(const Vec& x, Vec& y,
-                    const par::Execution& exec) const override;
-  [[nodiscard]] index_t num_nonzero_diagonals() const override {
-    return a_->num_diagonals();
-  }
-
- private:
-  const DiaMatrix* a_;
-};
-
-/// SELL-C-sigma-backed view (the SIMD-sliced layout).  Bitwise identical
-/// to CsrOperator — the sliced kernel reproduces the CSR row-sum schedule.
-class SellOperator final : public LinearOperator {
- public:
-  explicit SellOperator(const SellMatrix& a) : a_(&a) {}
-
-  [[nodiscard]] index_t rows() const override { return a_->rows(); }
-  void multiply(const Vec& x, Vec& y) const override { a_->multiply(x, y); }
-  void multiply_sub(const Vec& x, Vec& y) const override {
-    a_->multiply_sub(x, y);
-  }
-  void multiply(const Vec& x, Vec& y,
-                const par::Execution& exec) const override;
-  void multiply_sub(const Vec& x, Vec& y,
-                    const par::Execution& exec) const override;
-  [[nodiscard]] index_t num_nonzero_diagonals() const override {
-    return a_->num_nonzero_diagonals();
-  }
-
- private:
-  const SellMatrix* a_;
-};
+using CsrOperator = MatrixOperator<CsrMatrix>;
+/// The CYBER 203/205 kernel layout.
+using DiaOperator = MatrixOperator<DiaMatrix>;
+/// The SIMD-sliced layout; bitwise identical to CsrOperator.
+using SellOperator = MatrixOperator<SellMatrix>;
 
 }  // namespace mstep::la

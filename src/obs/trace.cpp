@@ -141,13 +141,9 @@ long long Tracer::counter(Counter c) const {
 }
 
 void Tracer::name_thread(const std::string& name) {
-#ifdef MSTEP_OBS_DISABLED
-  (void)name;
-#else
   ThreadBuffer& buf = local_buffer();
   std::lock_guard<std::mutex> lock(buf.mutex);
   buf.name = name;
-#endif
 }
 
 std::size_t Tracer::dropped_events() const {

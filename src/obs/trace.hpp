@@ -10,10 +10,7 @@
 // floating-point data flow: a traced solve is bitwise identical to an
 // untraced one (tests/test_obs.cpp asserts it per splitting × format).
 //
-// Switches, from cheapest to most explicit:
-//   - compile time: -DMSTEP_OBS_DISABLED (CMake -DMSTEP_OBS=OFF) turns
-//     every Span/counter into a no-op; the export API still links and
-//     yields an empty trace.
+// Switches, from broadest to most scoped:
 //   - process: MSTEP_TRACE=on|1 in the environment, or the tools'
 //     --trace=FILE flag (which also writes the export).
 //   - scoped: obs::EnableScope, a refcount the daemon holds per
@@ -59,12 +56,8 @@ class Tracer {
   /// The one check on every hot path.  True when the process switch is
   /// on OR at least one EnableScope is live.
   [[nodiscard]] bool enabled() const {
-#ifdef MSTEP_OBS_DISABLED
-    return false;
-#else
     return enabled_.load(std::memory_order_relaxed) ||
            scopes_.load(std::memory_order_relaxed) > 0;
-#endif
   }
 
   /// Process-wide switch (the env var / --trace flag path).
@@ -108,13 +101,8 @@ class Tracer {
 
 /// Counter bump that is a no-op when tracing is off.
 inline void count(Counter c, long long v) {
-#ifdef MSTEP_OBS_DISABLED
-  (void)c;
-  (void)v;
-#else
   Tracer& t = Tracer::instance();
   if (t.enabled()) t.add(c, v);
-#endif
 }
 
 /// The calling thread's current correlation id (0 = none).  The daemon
@@ -149,32 +137,24 @@ class EnableScope {
 class Span {
  public:
   explicit Span(const char* name) {
-#ifdef MSTEP_OBS_DISABLED
-    (void)name;
-#else
     Tracer& t = Tracer::instance();
     if (t.enabled()) {
       name_ = name;
       start_us_ = t.now_us();
     }
-#endif
   }
   ~Span() {
-#ifndef MSTEP_OBS_DISABLED
     if (name_) {
       Tracer& t = Tracer::instance();
       t.record(name_, start_us_, t.now_us() - start_us_, correlation());
     }
-#endif
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-#ifndef MSTEP_OBS_DISABLED
   const char* name_ = nullptr;
   std::int64_t start_us_ = 0;
-#endif
 };
 
 /// Convenience forwarder for call sites that should not spell out the

@@ -116,62 +116,6 @@ double Execution::step_update_max(double a, const Vec& p, Vec& u) const {
       [](double mx, double partial) { return std::max(mx, partial); });
 }
 
-void Execution::spmv(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  y.resize(a.rows());
-  partitioned(a.rows(), a.rows(), [&](index_t b, index_t e) {
-    la::simd::csr_spmv_rows(a.row_ptr().data(), a.col_idx().data(),
-                            a.values().data(), x.data(), y.data(), b, e,
-                            /*subtract=*/false);
-  });
-}
-
-void Execution::spmv_sub(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  assert(static_cast<index_t>(y.size()) == a.rows());
-  partitioned(a.rows(), a.rows(), [&](index_t b, index_t e) {
-    la::simd::csr_spmv_rows(a.row_ptr().data(), a.col_idx().data(),
-                            a.values().data(), x.data(), y.data(), b, e,
-                            /*subtract=*/true);
-  });
-}
-
-void Execution::spmv(const la::DiaMatrix& a, const Vec& x, Vec& y) const {
-  assert(static_cast<index_t>(x.size()) == a.rows());
-  y.resize(a.rows());
-  partitioned(a.rows(), a.rows(), [&](index_t b, index_t e) {
-    a.multiply_rows(x.data(), y.data(), b, e, /*subtract=*/false);
-  });
-}
-
-void Execution::spmv_sub(const la::DiaMatrix& a, const Vec& x, Vec& y) const {
-  assert(static_cast<index_t>(x.size()) == a.rows());
-  assert(static_cast<index_t>(y.size()) == a.rows());
-  partitioned(a.rows(), a.rows(), [&](index_t b, index_t e) {
-    a.multiply_rows(x.data(), y.data(), b, e, /*subtract=*/true);
-  });
-}
-
-void Execution::spmv(const la::SellMatrix& a, const Vec& x, Vec& y) const {
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  y.resize(a.rows());  // every real row is written exactly once via perm
-  partitioned(a.rows(), a.num_slices(), [&](index_t b, index_t e) {
-    la::simd::sell_sweep_slices(a.view(), x.data(),
-                                la::simd::RowUpdate::spmv(y.data(), false),
-                                b, e);
-  });
-}
-
-void Execution::spmv_sub(const la::SellMatrix& a, const Vec& x, Vec& y) const {
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  assert(static_cast<index_t>(y.size()) == a.rows());
-  partitioned(a.rows(), a.num_slices(), [&](index_t b, index_t e) {
-    la::simd::sell_sweep_slices(a.view(), x.data(),
-                                la::simd::RowUpdate::spmv(y.data(), true),
-                                b, e);
-  });
-}
-
 const Execution& serial_execution() {
   static const Execution serial;
   return serial;

@@ -2,12 +2,12 @@
 //
 // One Execution owns (at most) one ThreadPool and threads the three kernel
 // families Algorithm 1 spends its time in — multicolor sweeps (through the
-// pool, see core/multicolor_mstep), CSR/DIA SpMV, and the BLAS-1 vector
-// ops — while
-// guaranteeing BITWISE the serial result for any thread count:
+// pool, see core/multicolor_mstep), the outer SpMV, and the BLAS-1 vector
+// ops — while guaranteeing BITWISE the serial result for any thread count:
 //
-//  * elementwise ops (axpy, xpay, SpMV rows / DIA elements) are partitioned
-//    by index, and every element's accumulation order is the serial one;
+//  * elementwise ops (axpy, xpay) are partitioned by index, and the SpMV
+//    by the matrix's own parts (CSR and DIA rows, SELL slices) through its
+//    multiply_parts; every element's accumulation order is the serial one;
 //  * reductions use the fixed-block scheme of la::kReductionBlock: block
 //    partials are computed independently (by whatever thread), then
 //    combined in block order on the caller — exactly la::dot's serial sum;
@@ -19,11 +19,9 @@
 // belongs to the calling thread, and the pool queues their dispatches.
 #pragma once
 
+#include <cassert>
 #include <memory>
 
-#include "la/csr_matrix.hpp"
-#include "la/dia_matrix.hpp"
-#include "la/sell_matrix.hpp"
 #include "la/vector.hpp"
 #include "par/thread_pool.hpp"
 
@@ -69,20 +67,31 @@ class Execution {
   double step_update_max(double a, const Vec& p, Vec& u) const;
 
   // ---- sparse matrix-vector products --------------------------------------
-  void spmv(const la::CsrMatrix& a, const Vec& x, Vec& y) const;
+  /// y <- A x for any matrix type M with rows(), cols(), num_parts() and
+  /// multiply_parts(x, y, part_begin, part_end, subtract) — la::CsrMatrix,
+  /// la::DiaMatrix, la::SellMatrix — split over its parts.
+  template <class M>
+  void spmv(const M& a, const Vec& x, Vec& y) const {
+    assert(static_cast<index_t>(x.size()) == a.cols());
+    y.resize(a.rows());
+    partitioned(a.rows(), a.num_parts(), [&](index_t b, index_t e) {
+      a.multiply_parts(x.data(), y.data(), b, e, /*subtract=*/false);
+    });
+  }
   /// y <- y - A x
-  void spmv_sub(const la::CsrMatrix& a, const Vec& x, Vec& y) const;
-  void spmv(const la::DiaMatrix& a, const Vec& x, Vec& y) const;
-  void spmv_sub(const la::DiaMatrix& a, const Vec& x, Vec& y) const;
-  /// SELL-C-sigma forms: partitioned on slice boundaries (slices partition
-  /// the rows, so chunks never race on the scattered writes).
-  void spmv(const la::SellMatrix& a, const Vec& x, Vec& y) const;
-  void spmv_sub(const la::SellMatrix& a, const Vec& x, Vec& y) const;
+  template <class M>
+  void spmv_sub(const M& a, const Vec& x, Vec& y) const {
+    assert(static_cast<index_t>(x.size()) == a.cols());
+    assert(static_cast<index_t>(y.size()) == a.rows());
+    partitioned(a.rows(), a.num_parts(), [&](index_t b, index_t e) {
+      a.multiply_parts(x.data(), y.data(), b, e, /*subtract=*/true);
+    });
+  }
 
  private:
-  /// body(b, e) over parts [0, parts) — vector elements, matrix rows, or
-  /// SELL slices, which partition the rows — on the pool when there is one
-  /// and there are at least kSerialCutoff rows, else in one call.
+  /// body(b, e) over parts [0, parts) — vector elements, or a matrix's
+  /// parts, which partition its rows — on the pool when there is one and
+  /// there are at least kSerialCutoff rows, else in one call.
   template <class Body>
   void partitioned(index_t rows, index_t parts, const Body& body) const {
     if (!pool_ || rows < kSerialCutoff) {

@@ -80,20 +80,16 @@ void BatchReport::rethrow_first_error() const {
   }
 }
 
-BatchReport Prepared::run_lanes(util::Span<const Vec> bs,
-                                const BatchConfig& batch,
+BatchReport Prepared::run_lanes(util::Span<const Vec> bs, int max_lanes,
                                 const Vec& u0) const {
   util::Timer timer;
-  if (batch.concurrency < 0) {
-    throw std::invalid_argument("solveMany: concurrency must be >= 0");
-  }
   BatchReport br;
   br.reports.resize(bs.size());
   br.errors.resize(bs.size());
   const auto nrhs = static_cast<index_t>(bs.size());
   if (nrhs == 0) return br;
 
-  // Lane count: the per-call override, else the config default — both
+  // Lane count: the caller's cap, else the config's `batch` — both
   // honored as asked (deliberate oversubscription stays possible) — else
   // one lane per pool thread capped at the hardware width: lanes beyond
   // the physical cores only add timesharing and arena memory, never
@@ -103,8 +99,8 @@ BatchReport Prepared::run_lanes(util::Span<const Vec> bs,
   const int pool_width = pool ? pool->threads() : 1;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const int auto_lanes = hw > 0 ? std::min(pool_width, hw) : pool_width;
-  const int want = batch.concurrency > 0
-                       ? batch.concurrency
+  const int want = max_lanes > 0
+                       ? max_lanes
                        : (config_.batch > 0 ? config_.batch : auto_lanes);
   const int lanes = std::max(
       1, std::min({want, pool_width, static_cast<int>(nrhs)}));

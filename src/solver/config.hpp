@@ -78,19 +78,6 @@ struct ExecutionConfig {
   }
 };
 
-/// Per-call options for Prepared::solveMany / Solver::solveMany.
-struct BatchConfig {
-  /// Maximum right-hand sides in flight at once.  0 defers to the solver
-  /// config's `batch` default, which itself defers to the width of the
-  /// solver's thread pool capped at the hardware width; 1 solves
-  /// sequentially on the calling thread.  The pool is sized at Solver
-  /// construction from max(threads, batch), so a per-call request can
-  /// never EXCEED that width — asking for 8 lanes from a solver built
-  /// with threads=0;batch=0 (no pool) runs sequentially; put the intended
-  /// width in the config's `batch` (or `threads`) to provision it.
-  int concurrency = 0;
-};
-
 /// The whole design space of one solve, declaratively.  Every field
 /// round-trips through to_string()/from_string() and the --flag set of
 /// from_cli(), so a config is reproducible from one log line.

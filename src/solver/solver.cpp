@@ -231,15 +231,14 @@ SolveReport Solver::solve(const la::CsrMatrix& k, const Vec& f,
   return prepare(k, classes, log).solve(f, u0);
 }
 
-BatchReport Solver::solveMany(const la::CsrMatrix& k, util::Span<const Vec> bs,
-                              const BatchConfig& batch) const {
-  return prepare(k).solveMany(bs, batch);
+BatchReport Solver::solveMany(const la::CsrMatrix& k,
+                              util::Span<const Vec> bs) const {
+  return prepare(k).solveMany(bs);
 }
 
 BatchReport Solver::solveMany(const la::CsrMatrix& k, util::Span<const Vec> bs,
-                              const color::ColorClasses& classes,
-                              const BatchConfig& batch) const {
-  return prepare(k, classes).solveMany(bs, batch);
+                              const color::ColorClasses& classes) const {
+  return prepare(k, classes).solveMany(bs);
 }
 
 Vec Prepared::permute(const Vec& x) const {
@@ -251,9 +250,7 @@ Vec Prepared::unpermute(const Vec& x) const {
 }
 
 SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
-  BatchConfig one_lane;
-  one_lane.concurrency = 1;
-  BatchReport br = run_lanes(util::Span<const Vec>(&f, 1), one_lane, u0);
+  BatchReport br = run_lanes(util::Span<const Vec>(&f, 1), 1, u0);
   br.rethrow_first_error();
   return std::move(br.reports[0]);
 }

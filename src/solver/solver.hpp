@@ -179,12 +179,10 @@ class Solver {
   /// One-call batched form: prepare once, then solve every right-hand
   /// side concurrently through Prepared::solveMany.
   [[nodiscard]] BatchReport solveMany(const la::CsrMatrix& k,
-                                      util::Span<const Vec> bs,
-                                      const BatchConfig& batch = {}) const;
-  [[nodiscard]] BatchReport solveMany(const la::CsrMatrix& k,
-                                      util::Span<const Vec> bs,
-                                      const color::ColorClasses& classes,
-                                      const BatchConfig& batch = {}) const;
+                                      util::Span<const Vec> bs) const;
+  [[nodiscard]] BatchReport solveMany(
+      const la::CsrMatrix& k, util::Span<const Vec> bs,
+      const color::ColorClasses& classes) const;
 
  private:
   explicit Solver(SolverConfig config);
@@ -218,9 +216,8 @@ class Prepared {
   /// serial solve(bs[i]).  A throwing right-hand side records its
   /// exception in the report's error channel; the remaining RHSs still
   /// complete.  Both solve forms are safe for concurrent callers.
-  [[nodiscard]] BatchReport solveMany(util::Span<const Vec> bs,
-                                      const BatchConfig& batch = {}) const {
-    return run_lanes(bs, batch, {});
+  [[nodiscard]] BatchReport solveMany(util::Span<const Vec> bs) const {
+    return run_lanes(bs, 0, {});
   }
 
   /// The matrix PCG iterates on (colour-permuted when multicolour).
@@ -275,9 +272,10 @@ class Prepared {
   }
 
   /// The one solve body; `u0` is every right-hand side's initial guess.
+  /// `max_lanes` > 0 caps the lanes (Prepared::solve asks for one); 0 is
+  /// the config's `batch` rule.
   [[nodiscard]] BatchReport run_lanes(util::Span<const Vec> bs,
-                                      const BatchConfig& batch,
-                                      const Vec& u0) const;
+                                      int max_lanes, const Vec& u0) const;
 
   SolverConfig config_;
   // cs_ and the format-specific matrices live on the heap so every

@@ -223,10 +223,10 @@ TEST(SolveMany, EmptyBatchAndBadConcurrency) {
   EXPECT_TRUE(br.all_converged());
   EXPECT_EQ(br.num_failed(), 0u);
 
-  BatchConfig bad;
-  bad.concurrency = -1;
-  const std::vector<Vec> bs = {p.f};
-  EXPECT_THROW((void)prepared.solveMany(bs, bad), std::invalid_argument);
+  // The lane count is the config's `batch`, checked when the solver is
+  // built.
+  cfg.batch = -1;
+  EXPECT_THROW((void)Solver::from_config(cfg), std::invalid_argument);
 }
 
 TEST(SolveMany, ExplicitConcurrencyIsHonored) {
@@ -234,19 +234,22 @@ TEST(SolveMany, ExplicitConcurrencyIsHonored) {
   const std::vector<Vec> bs = make_rhs_set(p, 8);
   SolverConfig cfg;
   cfg.tolerance = 1e-8;
-  cfg.batch = 6;
-  const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
-
-  // Config default caps the lanes...
-  EXPECT_EQ(prepared.solveMany(bs).concurrency, 6);
-  // ...the per-call override wins over it...
-  BatchConfig two;
-  two.concurrency = 2;
-  EXPECT_EQ(prepared.solveMany(bs, two).concurrency, 2);
-  // ...and lanes never exceed the pool width or the RHS count.
-  BatchConfig many;
-  many.concurrency = 100;
-  EXPECT_EQ(prepared.solveMany(bs, many).concurrency, 6);  // pool width
+  for (const int batch : {2, 6}) {
+    cfg.batch = batch;
+    const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
+    // The config's `batch` sets the lanes...
+    EXPECT_EQ(prepared.solveMany(bs).concurrency, batch);
+    // ...but never more than there are right-hand sides.
+    EXPECT_EQ(prepared.solveMany(util::Span<const Vec>(bs.data(), 1))
+                  .concurrency,
+              1);
+  }
+  // A pool wider than the lanes asked for keeps the asked-for count.
+  cfg.batch = 2;
+  cfg.execution.threads = 4;
+  EXPECT_EQ(Solver::from_config(cfg).prepare(p.k, p.classes).solveMany(bs)
+                .concurrency,
+            2);
 }
 
 // ---- config plumbing --------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/params.hpp"
 #include "la/polynomial.hpp"
@@ -138,6 +140,23 @@ TEST(MinMax, ConditionNumberShrinksWithM) {
     const double k = predicted_condition(minmax_alphas(m, iv, false), iv);
     EXPECT_LT(k, prev) << "m=" << m;
     prev = k;
+  }
+}
+
+// On the SSOR interval the normal equations lose positive definiteness in
+// doubles at m = 14: that is a config error naming m, the interval and the
+// way out, not a bare Cholesky failure.  m = 13 still solves.
+TEST(Params, LeastSquaresPastM13OnSsorIntervalSaysWhatToDo) {
+  EXPECT_EQ(least_squares_alphas(13, ssor_interval()).size(), 13u);
+  try {
+    (void)least_squares_alphas(14, ssor_interval());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    for (const char* part : {"m=14", "[0, 1]", "m <= 13", "params=minmax",
+                             "interval="}) {
+      EXPECT_NE(msg.find(part), std::string::npos) << part << ": " << msg;
+    }
   }
 }
 

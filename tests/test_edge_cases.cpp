@@ -108,7 +108,7 @@ TEST(EdgeCase, DiaStoredValuesAccountsAllDiagonals) {
   const auto a = fem::PoissonProblem(4, 4).matrix();
   const auto d = la::DiaMatrix::from_csr(a);
   EXPECT_EQ(d.stored_values(),
-            static_cast<std::size_t>(d.num_diagonals()) * a.rows());
+            static_cast<std::size_t>(d.num_nonzero_diagonals()) * a.rows());
 }
 
 TEST(EdgeCase, PolynomialTrimDropsZeros) {

@@ -17,6 +17,7 @@
 #include "fem/poisson.hpp"
 #include "la/dia_matrix.hpp"
 #include "la/linear_operator.hpp"
+#include "la/sell_matrix.hpp"
 #include "par/execution.hpp"
 #include "par/thread_pool.hpp"
 #include "solver/solver.hpp"
@@ -72,37 +73,49 @@ TEST(ExecutionVectorOps, BitwiseMatchSerial) {
   ASSERT_EQ(mx1, mx2);
 }
 
-TEST(ExecutionSpmv, CsrAndDiaBitwiseMatchSerial) {
+/// The threads=4 SpMV of `a` — directly and through its operator view's
+/// execution-policy forms — is bitwise the serial product, for y = A x and
+/// y -= A x.
+template <class M>
+void expect_spmv_matches_serial(const M& a, const Execution& exec,
+                                const char* format) {
+  SCOPED_TRACE(format);
+  util::Rng rng(17);
+  const Vec x = rng.uniform_vector(a.cols());
+  const Vec y0 = rng.uniform_vector(a.rows());
+  const la::MatrixOperator<M> op(a);
+
+  Vec want;
+  a.multiply(x, want);
+  Vec got;
+  exec.spmv(a, x, got);
+  ASSERT_EQ(want, got);
+  got.clear();
+  op.multiply(x, got, exec);
+  ASSERT_EQ(want, got);
+
+  want = y0;
+  a.multiply_sub(x, want);
+  got = y0;
+  exec.spmv_sub(a, x, got);
+  ASSERT_EQ(want, got);
+  got = y0;
+  op.multiply_sub(x, got, exec);
+  ASSERT_EQ(want, got);
+}
+
+TEST(ExecutionSpmv, EveryFormatAndOperatorBitwiseMatchSerial) {
   // Plate large enough that the parallel kernels actually engage.
   const fem::PlateMesh mesh = fem::PlateMesh::unit_square(40);
   const auto sys = fem::assemble_plane_stress(mesh, fem::Material{},
                                               fem::EdgeLoad{1.0, 0.0});
   const la::CsrMatrix& a = sys.stiffness;
   ASSERT_GE(a.rows(), 3000);
-  const la::DiaMatrix dia = la::DiaMatrix::from_csr(a);
-
-  util::Rng rng(17);
-  const Vec x = rng.uniform_vector(a.rows());
+  ASSERT_GE(a.rows(), kSerialCutoff);
   const Execution exec(4);
-
-  Vec y_serial, y_exec;
-  a.multiply(x, y_serial);
-  exec.spmv(a, x, y_exec);
-  ASSERT_EQ(y_serial, y_exec);
-
-  dia.multiply(x, y_serial);
-  exec.spmv(dia, x, y_exec);
-  ASSERT_EQ(y_serial, y_exec);
-
-  Vec s1 = rng.uniform_vector(a.rows());
-  Vec s2 = s1;
-  a.multiply_sub(x, s1);
-  exec.spmv_sub(a, x, s2);
-  ASSERT_EQ(s1, s2);
-
-  dia.multiply_sub(x, s1);
-  exec.spmv_sub(dia, x, s2);
-  ASSERT_EQ(s1, s2);
+  expect_spmv_matches_serial(a, exec, "csr");
+  expect_spmv_matches_serial(la::DiaMatrix::from_csr(a), exec, "dia");
+  expect_spmv_matches_serial(la::SellMatrix::from_csr(a), exec, "sell");
 }
 
 // ---- thread-pool stress -----------------------------------------------------
@@ -394,15 +407,14 @@ TEST(SolverThreads, TwoCallersSolveManyOnOnePrepared) {
 
   solver::SolverConfig cfg = serial_cfg;
   cfg.execution.threads = 2;
+  cfg.batch = 2;
   const auto solver = solver::Solver::from_config(cfg);
   const auto prepared = solver.prepare(p.k, p.classes);
-  solver::BatchConfig two_lanes;
-  two_lanes.concurrency = 2;
 
   std::vector<solver::BatchReport> got(2 * 20);
   auto caller = [&](std::size_t first) {
     for (std::size_t i = first; i < got.size(); i += 2) {
-      got[i] = prepared.solveMany(util::Span<const Vec>(bs), two_lanes);
+      got[i] = prepared.solveMany(util::Span<const Vec>(bs));
     }
   };
   std::thread other(caller, 1);

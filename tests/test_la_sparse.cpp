@@ -156,7 +156,7 @@ TEST(Csr, NumNonzeroDiagonalsTridiagonal) {
 TEST(Dia, RoundTripsTridiagonal) {
   const CsrMatrix a = small_test_matrix();
   const DiaMatrix d = DiaMatrix::from_csr(a);
-  EXPECT_EQ(d.num_diagonals(), 3);
+  EXPECT_EQ(d.num_nonzero_diagonals(), 3);
   util::Rng rng(9);
   const Vec x = rng.uniform_vector(3);
   Vec y_csr, y_dia;
@@ -184,7 +184,7 @@ TEST_P(DiaVsCsrOnProblems, PoissonSpmvAgrees) {
   const fem::PoissonProblem prob(n, n);
   const CsrMatrix a = prob.matrix();
   const DiaMatrix d = DiaMatrix::from_csr(a);
-  EXPECT_EQ(d.num_diagonals(), n == 1 ? 1 : 5);
+  EXPECT_EQ(d.num_nonzero_diagonals(), n == 1 ? 1 : 5);
   util::Rng rng(n);
   const Vec x = rng.uniform_vector(a.rows());
   Vec y1, y2;
@@ -206,7 +206,7 @@ TEST(Dia, PlateMatrixDiagonalCountIsBounded) {
   const fem::Material mat;
   const CsrMatrix k = fem::assemble_free_stiffness(mesh, mat);
   const DiaMatrix d = DiaMatrix::from_csr(k);
-  EXPECT_LE(d.num_diagonals(), 15);  // 7-node stencil x 2 dofs, +/- offsets
+  EXPECT_LE(d.num_nonzero_diagonals(), 15);  // 7-node stencil x 2 dofs, +/- offsets
   util::Rng rng(2);
   const Vec x = rng.uniform_vector(k.rows());
   Vec y1, y2;

@@ -3,10 +3,13 @@
 // occupancy-probe boundaries, and the config round-trip for format=sell.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "la/csr_matrix.hpp"
@@ -55,8 +58,11 @@ TEST(SellMatrix, FromCsrPreservesEveryEntryInRowOrder) {
   EXPECT_EQ(s.num_nonzero_diagonals(), a.num_nonzero_diagonals());
 
   // The permutation is a bijection onto the real rows (padding slots -1).
+  const simd::SellView v = s.slices().view();
+  constexpr index_t kC = SellMatrix::kSliceHeight;
   std::set<index_t> seen;
-  for (const index_t g : s.permutation()) {
+  for (index_t slot = 0; slot < v.num_slices * kC; ++slot) {
+    const index_t g = v.perm[slot];
     if (g < 0) continue;
     EXPECT_TRUE(seen.insert(g).second) << "row " << g << " stored twice";
   }
@@ -64,8 +70,6 @@ TEST(SellMatrix, FromCsrPreservesEveryEntryInRowOrder) {
 
   // Reconstruct each row from the slice-column-major storage and compare
   // with the CSR source entry for entry.
-  const simd::SellView v = s.view();
-  constexpr index_t kC = SellMatrix::kSliceHeight;
   for (index_t sl = 0; sl < v.num_slices; ++sl) {
     for (index_t r = 0; r < kC; ++r) {
       const index_t slot = sl * kC + r;
@@ -91,7 +95,7 @@ TEST(SellMatrix, SigmaWindowSortOrdersSliceMatesByLength) {
     for (index_t j = 0; j <= i; ++j) b.add(i, j, 1.0 + i + j);
   }
   const SellMatrix s = SellMatrix::from_csr(b.build());
-  const simd::SellView v = s.view();
+  const simd::SellView v = s.slices().view();
   for (index_t r = 0; r < 4; ++r) {
     EXPECT_GE(v.len[r], 5) << "slice 0 lane " << r;
     EXPECT_LE(v.len[4 + r], 4) << "slice 1 lane " << r;
@@ -116,6 +120,136 @@ TEST(SellMatrix, HandlesEmptyRowsAndRaggedTail) {
   s.multiply(x, ys);
   EXPECT_TRUE(bitwise_equal(yc, ys));
   EXPECT_EQ(ys[2], 0.0);
+}
+
+// ---- the packing, pinned -----------------------------------------------------
+
+/// The whole-row SELL-C-sigma packing as a standalone loop, kept here as
+/// the reference SellMatrix::from_csr must reproduce array for array: slot
+/// order by descending row length within each sigma window (ties by
+/// ascending row id), slices as wide as their longest row, entries
+/// scattered slice-column-major, padding (col 0, val 0).
+struct ReferencePacking {
+  std::vector<double> val;
+  std::vector<index_t> col;
+  std::vector<index_t> len;
+  std::vector<index_t> perm;
+  std::vector<std::size_t> slice_ptr;
+};
+
+ReferencePacking reference_packing(const CsrMatrix& a) {
+  constexpr index_t kC = SellMatrix::kSliceHeight;
+  constexpr index_t kSigma = SellMatrix::kDefaultSigma;
+  const index_t n = a.rows();
+  const auto& rp = a.row_ptr();
+  std::vector<index_t> slots(n);
+  for (index_t i = 0; i < n; ++i) slots[i] = i;
+  for (index_t w = 0; w < n; w += kSigma) {
+    std::sort(slots.begin() + w, slots.begin() + std::min(n, w + kSigma),
+              [&](index_t i, index_t j) {
+                const index_t li = rp[i + 1] - rp[i];
+                const index_t lj = rp[j + 1] - rp[j];
+                if (li != lj) return li > lj;
+                return i < j;
+              });
+  }
+  const index_t num_slices = (n + kC - 1) / kC;
+  ReferencePacking m;
+  m.perm.assign(static_cast<std::size_t>(num_slices) * kC, -1);
+  m.len.assign(static_cast<std::size_t>(num_slices) * kC, 0);
+  m.slice_ptr.assign(static_cast<std::size_t>(num_slices) + 1, 0);
+  for (index_t s = 0; s < num_slices; ++s) {
+    index_t width = 0;
+    for (index_t r = 0; r < kC; ++r) {
+      const index_t slot = s * kC + r;
+      if (slot >= n) break;
+      const index_t g = slots[slot];
+      m.perm[slot] = g;
+      m.len[slot] = rp[g + 1] - rp[g];
+      width = std::max(width, m.len[slot]);
+    }
+    m.slice_ptr[s + 1] = m.slice_ptr[s] + static_cast<std::size_t>(width) * kC;
+  }
+  m.val.assign(m.slice_ptr.back(), 0.0);
+  m.col.assign(m.slice_ptr.back(), 0);
+  for (index_t s = 0; s < num_slices; ++s) {
+    for (index_t r = 0; r < kC; ++r) {
+      const index_t slot = s * kC + r;
+      const index_t g = m.perm[slot];
+      if (g < 0) continue;
+      for (index_t j = 0; j < m.len[slot]; ++j) {
+        const std::size_t at =
+            m.slice_ptr[s] + static_cast<std::size_t>(j) * kC + r;
+        m.val[at] = a.values()[rp[g] + j];
+        m.col[at] = a.col_idx()[rp[g] + j];
+      }
+    }
+  }
+  return m;
+}
+
+/// n x n with rows of random length 0..max_len (so some rows are empty)
+/// at random columns, every third entry an explicit zero.
+CsrMatrix ragged_matrix(index_t n, index_t max_len, std::uint64_t seed) {
+  util::Rng rng(seed);
+  CooBuilder b(n, n);
+  int k = 0;
+  for (index_t i = 0; i < n; ++i) {
+    const auto len = static_cast<index_t>(rng.uniform_index(max_len + 1));
+    for (index_t t = 0; t < len; ++t) {
+      const auto j = static_cast<index_t>(rng.uniform_index(n));
+      b.add(i, j, ++k % 3 == 0 ? 0.0 : 1.0 + i + t);
+    }
+  }
+  return b.build();
+}
+
+TEST(SellMatrix, PackingMatchesTheReferenceLoopArrayForArray) {
+  std::vector<std::pair<std::string, CsrMatrix>> cases;
+  for (const char* spec : {"poisson2d:n=10", "poisson3d:n=5", "convdiff:n=9",
+                           "randspd:n=200:band=16", "stencil9:n=7",
+                           "femplate:a=8", "cyberplate:a=8"}) {
+    cases.emplace_back(spec,
+                       problems::ProblemRegistry::instance().create(spec)
+                           .matrix);
+  }
+  // n mod 4 != 0, n < sigma, several windows, empty rows, explicit zeros.
+  for (const index_t n : {1, 3, 6, 37, 131, 258}) {
+    cases.emplace_back("ragged n=" + std::to_string(n),
+                       ragged_matrix(n, 9, static_cast<std::uint64_t>(n)));
+  }
+  cases.emplace_back("empty", CsrMatrix());
+  bool some_empty_row = false;
+  bool some_explicit_zero = false;
+  for (const auto& [name, a] : cases) {
+    const ReferencePacking want = reference_packing(a);
+    const SellMatrix s = SellMatrix::from_csr(a);
+    const simd::SellView v = s.slices().view();
+    const auto slices = static_cast<std::size_t>(v.num_slices);
+    const std::size_t slots = slices * SellMatrix::kSliceHeight;
+    ASSERT_EQ(slices + 1, want.slice_ptr.size()) << name;
+    ASSERT_EQ(s.stored_values(), want.val.size()) << name;
+    EXPECT_TRUE(std::equal(want.perm.begin(), want.perm.end(), v.perm) &&
+                want.perm.size() == slots)
+        << name;
+    EXPECT_TRUE(std::equal(want.len.begin(), want.len.end(), v.len)) << name;
+    if (slices > 0) {
+      EXPECT_TRUE(std::equal(want.slice_ptr.begin(), want.slice_ptr.end(),
+                             v.slice_ptr))
+          << name;
+    }
+    EXPECT_TRUE(std::equal(want.col.begin(), want.col.end(), v.col)) << name;
+    EXPECT_EQ(std::memcmp(want.val.data(), v.val,
+                          want.val.size() * sizeof(double)),
+              0)
+        << name;
+    for (index_t i = 0; i < a.rows(); ++i) {
+      some_empty_row |= a.row_ptr()[i] == a.row_ptr()[i + 1];
+    }
+    for (const double x : a.values()) some_explicit_zero |= x == 0.0;
+  }
+  EXPECT_TRUE(some_empty_row);
+  EXPECT_TRUE(some_explicit_zero);
 }
 
 // ---- bitwise SpMV across the catalog ---------------------------------------

@@ -334,10 +334,14 @@ TEST(DiaSegmentsBuild, AnyPartSplitGivesTheSameSums) {
   for (int c = 0; c < cs.num_classes(); ++c) {
     const la::ClassSegments& segs = plan->lower(c);
     Vec whole(cs.size(), 7.0), pieces(cs.size(), 7.0);
-    segs.neg_sums(x.data(), whole.data(), 0, segs.num_parts());
+    // The kSave pass: y[i] = -(row i's segment . x).
+    la::simd::RowUpdate save;
+    save.mode = la::simd::RowUpdate::Mode::kSave;
+    save.y = whole.data();
+    segs.sweep(x.data(), save, 0, segs.num_parts());
+    save.y = pieces.data();
     for (index_t b = 0; b < segs.num_parts(); b += 5) {
-      segs.neg_sums(x.data(), pieces.data(), b,
-                    std::min(segs.num_parts(), b + 5));
+      segs.sweep(x.data(), save, b, std::min(segs.num_parts(), b + 5));
     }
     ASSERT_EQ(whole, pieces) << "class " << c;
     // Rows outside the class are untouched.
@@ -523,7 +527,7 @@ TEST(DiaRuns, FusedPassMatchesTheTwoPassSweepAcrossRunBoundaries) {
 Vec triad_spmv(const la::DiaMatrix& a, const Vec& x, Vec y, bool subtract) {
   const index_t n = a.rows();
   if (!subtract) y.assign(static_cast<std::size_t>(n), 0.0);
-  for (index_t d = 0; d < a.num_diagonals(); ++d) {
+  for (index_t d = 0; d < a.num_nonzero_diagonals(); ++d) {
     const index_t off = a.offsets()[d];
     triad(a.values().data() + static_cast<std::size_t>(d) * n, x.data(),
           y.data(), std::max<index_t>(0, -off), std::min(n, n - off), off,
@@ -609,8 +613,8 @@ TEST(DiaSpmv, MultiplyIsThePerDiagonalTriadsBitwise) {
         for (const auto& bounds : splits) {
           y = y0;
           for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-            dia.multiply_rows(c.x.data(), y.data(), bounds[k], bounds[k + 1],
-                              subtract);
+            dia.multiply_parts(c.x.data(), y.data(), bounds[k],
+                               bounds[k + 1], subtract);
           }
           ASSERT_TRUE(same_bits(y, want))
               << "subtract " << subtract << " pieces " << bounds.size() - 1

@@ -126,7 +126,7 @@ TEST(ThreadedSweep, EveryLayoutAndThreadCountMatchesSerialApplyBitwise) {
 
 // strip(k, t) hands window w to strip w * t / W (the equal-strip rule),
 // so the strips of a class concatenate to its parts and rows in order,
-// differ in size by at most one window, and strip k's neg_sums write
+// differ in size by at most one window, and strip k's kSave pass writes
 // exactly its own row range — which is what lets one dispatch per class
 // sum and then update the same rows.
 TEST(SweepStrips, EqualWindowStripsPartitionEveryClass) {
@@ -178,7 +178,10 @@ TEST(SweepStrips, EqualWindowStripsPartitionEveryClass) {
           ASSERT_GE(strip_windows, windows / t) << what;
 
           Vec out(cs.size(), std::numeric_limits<double>::quiet_NaN());
-          segs.neg_sums(x.data(), out.data(), s.part_begin, s.part_end);
+          la::simd::RowUpdate save;
+          save.mode = la::simd::RowUpdate::Mode::kSave;
+          save.y = out.data();
+          segs.sweep(x.data(), save, s.part_begin, s.part_end);
           for (index_t i = 0; i < cs.size(); ++i) {
             const bool mine = i >= s.row_begin && i < s.row_end;
             ASSERT_EQ(!std::isnan(out[i]), mine) << what << " row " << i;
@@ -197,7 +200,7 @@ TEST(SweepStrips, EqualWindowStripsPartitionEveryClass) {
 
 // A solver built with threads=4 also serves batches: lanes take the pool
 // and run the serial kernels, and every right-hand side keeps its serial
-// bits whether the lane count is left to the engine or requested.
+// bits whether the lane count is left to the engine or set by `batch`.
 TEST(ThreadedSolve, BatchedSolvesStayBitwise) {
   const problems::Problem p =
       problems::ProblemRegistry::instance().create("poisson2d:n=48");
@@ -215,17 +218,16 @@ TEST(ThreadedSolve, BatchedSolvesStayBitwise) {
 
   SolverConfig cfg = plain;
   cfg.execution.threads = 4;
-  const auto prepared = Solver::from_config(cfg).prepare(p.matrix, p.classes);
-
-  for (const int concurrency : {0, 1, 4}) {
-    BatchConfig batch;
-    batch.concurrency = concurrency;
-    const auto got = prepared.solveMany(util::Span<const Vec>(bs), batch);
+  for (const int batch : {0, 1, 4}) {
+    cfg.batch = batch;
+    const auto prepared =
+        Solver::from_config(cfg).prepare(p.matrix, p.classes);
+    const auto got = prepared.solveMany(util::Span<const Vec>(bs));
     for (std::size_t i = 0; i < bs.size(); ++i) {
       ASSERT_TRUE(got.ok(i));
       expect_bitwise_equal(expected[i], got.reports[i],
-                           "concurrency=" + std::to_string(concurrency) +
-                               " rhs " + std::to_string(i));
+                           "batch=" + std::to_string(batch) + " rhs " +
+                               std::to_string(i));
     }
   }
 }
