@@ -233,8 +233,8 @@ int main(int argc, char** argv) {
       r.format = "dia";
       r.n = n;
       r.flops_per_apply = 2 * nnz;
-      // v and x per stored element (bounded above by n per diagonal); each
-      // row's sum stays in a register, so y is written once per row.
+      // v and x per stored element (each block's live diagonal ranges);
+      // each row's sum stays in a register, so y is written once per row.
       r.bytes_per_apply =
           16LL * static_cast<long long>(dia.stored_values()) + 8LL * n;
       measure(&r, [&] { dia.multiply(x, y); },
@@ -245,14 +245,29 @@ int main(int argc, char** argv) {
               },
               target_flops, repeats);
       rows.push_back(r);
-      // The reference: y zeroed, then one triad per diagonal over its
-      // valid rows in ascending offset order — the DIA SpMV's defined
-      // operation order.
+      // The reference: y zeroed, then one triad per full-length diagonal
+      // (built here from the CSR, zeros off its nonzeros) over its valid
+      // rows in ascending offset order — the DIA SpMV's defined operation
+      // order.  The blocked store drops only stored zeros, so it must
+      // match bitwise.
+      const std::vector<index_t>& offsets = dia.offsets();
+      std::vector<double> full(offsets.size() * static_cast<std::size_t>(n),
+                               0.0);
+      for (index_t i = 0; i < n; ++i) {
+        for (index_t k = csr.row_ptr()[i]; k < csr.row_ptr()[i + 1]; ++k) {
+          const auto d = static_cast<std::size_t>(
+              std::lower_bound(offsets.begin(), offsets.end(),
+                               csr.col_idx()[k] - i) -
+              offsets.begin());
+          if (d < offsets.size() && offsets[d] == csr.col_idx()[k] - i) {
+            full[d * static_cast<std::size_t>(n) + i] = csr.values()[k];
+          }
+        }
+      }
       Vec triads(static_cast<std::size_t>(n), 0.0);
-      for (index_t d = 0; d < dia.num_nonzero_diagonals(); ++d) {
-        const index_t off = dia.offsets()[d];
-        const double* v =
-            dia.values().data() + static_cast<std::size_t>(d) * n;
+      for (std::size_t d = 0; d < offsets.size(); ++d) {
+        const index_t off = offsets[d];
+        const double* v = full.data() + d * static_cast<std::size_t>(n);
         for (index_t i = std::max<index_t>(0, -off); i < std::min(n, n - off);
              ++i) {
           triads[i] += v[i] * x[i + off];

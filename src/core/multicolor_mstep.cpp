@@ -18,37 +18,52 @@ std::shared_ptr<const SweepPlan> SweepPlan::build(
     const color::ColoredSystem& cs, la::SegmentLayout layout,
     std::shared_ptr<const la::DiaMatrix> dia) {
   const bool dia_layout = layout == la::SegmentLayout::kDia;
-  if (dia && (!dia_layout || dia->rows() != cs.size())) {
-    throw std::invalid_argument("SweepPlan: DiaMatrix of another layout/size");
+  if (dia && (!dia_layout || dia->block_start() != cs.class_start)) {
+    throw std::invalid_argument(
+        "SweepPlan: DiaMatrix blocks are not the colour classes");
   }
   if (dia_layout && !dia) {
-    dia = std::make_shared<la::DiaMatrix>(la::DiaMatrix::from_csr(cs.matrix));
+    dia = std::make_shared<la::DiaMatrix>(
+        la::DiaMatrix::from_csr(cs.matrix, cs.class_start));
   }
   g_plan_builds.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<SweepPlan> plan(new SweepPlan());
   plan->cs_ = &cs;
   plan->layout_ = layout;
   plan->splits_ = color::compute_row_splits(cs);
-  plan->census_ = color::compute_class_diagonal_census(cs, plan->splits_);
   plan->dia_ = std::move(dia);
 
   // Each class's strictly-lower / strictly-upper row segments, laid out
-  // once (DIA runs and taps over dia_).  The sweeps sum and update a
-  // whole class at a time through ClassSegments::sweep — vectorized ACROSS
-  // the rows of a class, which the multicolor ordering makes independent —
-  // and a threaded sweep runs the identical kernel over strips of parts,
-  // which is what keeps serial == threaded == SIMD-on == SIMD-off.
+  // once: SELL slices from the CSR rows, or views of the class's block of
+  // dia_ (its negative and its positive offsets).  The sweeps sum and
+  // update a whole class at a time through ClassSegments::sweep —
+  // vectorized ACROSS the rows of a class, which the multicolor ordering
+  // makes independent — and a threaded sweep runs the identical kernel
+  // over strips of parts, which is what keeps serial == threaded ==
+  // SIMD-on == SIMD-off.
   const auto& rp = cs.matrix.row_ptr();
   const int nc = cs.num_classes();
+  const index_t n = cs.size();
   plan->lower_.reserve(nc);
   plan->upper_.reserve(nc);
   for (int c = 0; c < nc; ++c) {
+    if (dia_layout) {
+      plan->lower_.push_back(la::ClassSegments::build(*plan->dia_, c, -n, -1));
+      plan->upper_.push_back(la::ClassSegments::build(*plan->dia_, c, 1, n));
+      // The census is the segments' diagonal count: no CSR pass.
+      plan->census_.lower.push_back(plan->lower_.back().dia().num_diagonals());
+      plan->census_.upper.push_back(plan->upper_.back().dia().num_diagonals());
+      continue;
+    }
     plan->lower_.push_back(la::ClassSegments::build(
         cs.matrix, rp.data(), plan->splits_.lo_end.data(), cs.class_start[c],
-        cs.class_start[c + 1], plan->dia_.get()));
+        cs.class_start[c + 1]));
     plan->upper_.push_back(la::ClassSegments::build(
         cs.matrix, plan->splits_.up_begin.data(), rp.data() + 1,
-        cs.class_start[c], cs.class_start[c + 1], plan->dia_.get()));
+        cs.class_start[c], cs.class_start[c + 1]));
+  }
+  if (!dia_layout) {
+    plan->census_ = color::compute_class_diagonal_census(cs, plan->splits_);
   }
   return plan;
 }

@@ -57,13 +57,16 @@ namespace mstep::core {
 /// and every class's strictly-lower / strictly-upper coupling segments in
 /// one layout.  Built once per pipeline and shared by every sweep over it
 /// — serial, threaded, each batch lane, each daemon cache hit — which own
-/// only their y vectors.  DIA segments index a DiaMatrix shared with the
-/// pipeline's DIA operator: one copy of the values serves both.
+/// only their y vectors.  DIA segments are views of the class blocks of a
+/// DiaMatrix shared with the pipeline's DIA operator: one copy of the
+/// values serves both.
 class SweepPlan {
  public:
   /// `cs` must outlive the plan; its diagonal class blocks must be
   /// diagonal (throws std::invalid_argument otherwise).  Under kDia the
-  /// segments index `dia`, the DiaMatrix of cs.matrix, built when null.
+  /// segments view `dia`, the DiaMatrix of cs.matrix blocked by its colour
+  /// classes (DiaMatrix::from_csr(cs.matrix, cs.class_start)), built when
+  /// null; a `dia` with other blocks, or under kSell, throws.
   [[nodiscard]] static std::shared_ptr<const SweepPlan> build(
       const color::ColoredSystem& cs, la::SegmentLayout layout,
       std::shared_ptr<const la::DiaMatrix> dia = nullptr);

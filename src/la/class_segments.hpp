@@ -12,9 +12,10 @@
 //  * kSell — la::SellSegments, 4-row SELL slices with column indices,
 //    run by simd::sell_sweep_slices: bitwise -row_dot per row, so the
 //    sweep's bits match the CSR/SELL operator family;
-//  * kDia  — la::DiaSegments, the class's runs (row intervals with one set
-//    of live diagonals) over the operator's own la::DiaMatrix, no values
-//    copied, run by simd::dia_sweep_rows: no index traffic, no gathers
+//  * kDia  — la::DiaSegments, a view of the class's block of the
+//    operator's own la::DiaMatrix (its negative or its positive offsets,
+//    cut into runs: row intervals with one set of live diagonals), no
+//    values copied, run by simd::dia_sweep_rows: no index traffic, no gathers
 //    and no per-diagonal clamp, the paper's CYBER layout (Section 3.1).
 //    Its sums associate differently from row_dot, so its bits differ from
 //    the SELL sweep's in the last place, as the DIA operator's already
@@ -49,16 +50,21 @@ class ClassSegments {
  public:
   ClassSegments() = default;
 
-  /// Rows [row_begin, row_end) of `a`, row i contributing its CSR entries
-  /// [seg_begin[i], seg_end[i]) (arrays indexed by global row id): DIA
-  /// segments over `dia` (DiaMatrix::from_csr(a), which must outlive
-  /// them) when given, else SELL segments.
+  /// SELL segments: rows [row_begin, row_end) of `a`, row i contributing
+  /// its CSR entries [seg_begin[i], seg_end[i]) (arrays indexed by global
+  /// row id).
   [[nodiscard]] static ClassSegments build(const CsrMatrix& a,
                                            const index_t* seg_begin,
                                            const index_t* seg_end,
                                            index_t row_begin,
-                                           index_t row_end,
-                                           const DiaMatrix* dia = nullptr);
+                                           index_t row_end);
+
+  /// DIA segments: the taps of block `block` of `dia` (which must outlive
+  /// them) with offsets in [first_offset, last_offset].
+  [[nodiscard]] static ClassSegments build(const DiaMatrix& dia,
+                                           index_t block,
+                                           index_t first_offset,
+                                           index_t last_offset);
 
   [[nodiscard]] SegmentLayout layout() const { return layout_; }
   [[nodiscard]] index_t row_begin() const { return row_begin_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 #include "la/simd.hpp"
@@ -46,54 +47,99 @@ simd::DiaRunView DiaRuns::view(const double* val, index_t row_begin) const {
 
 }  // namespace detail
 
-DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a) {
+DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a,
+                             const std::vector<index_t>& block_start) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("DiaMatrix: matrix must be square");
   }
   DiaMatrix m;
   m.n_ = a.rows();
+  m.block_start_ =
+      block_start.empty() ? std::vector<index_t>{0, m.n_} : block_start;
+  const std::vector<index_t>& bs = m.block_start_;
+  if (bs.size() < 2 || bs.front() != 0 || bs.back() != m.n_ ||
+      !std::is_sorted(bs.begin(), bs.end())) {
+    throw std::invalid_argument("DiaMatrix: blocks must run from 0 to n");
+  }
+  m.blocks_.resize(bs.size() - 1);
 
   const auto& rp = a.row_ptr();
   const auto& col = a.col_idx();
   const auto& val = a.values();
-  // slot[offset + n]: the offset's diagonal, -1 until its first nonzero.
+  // slot[offset + n]: the offset's tap in the block being scanned.
   std::vector<index_t> slot(static_cast<std::size_t>(2 * m.n_ + 1), -1);
-  for (index_t i = 0; i < m.n_; ++i) {
-    for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
-      if (val[k] == 0.0) continue;
-      index_t& s = slot[static_cast<std::size_t>(col[k] - i + m.n_)];
-      if (s < 0) {
-        s = 0;
-        m.offsets_.push_back(col[k] - i);
+  const auto slot_of = [&](index_t i, index_t k) -> index_t& {
+    return slot[static_cast<std::size_t>(col[k] - i + m.n_)];
+  };
+
+  // Pass 1, block by block: the live offsets and their live ranges (rows
+  // ascend, so the last row seen ends a range), numbered from `first` so
+  // that a slot an earlier block set reads as stale.  The taps are then
+  // laid out contiguously in ascending offset order, which fixes the
+  // summation order, hence the bits.
+  std::size_t stored = 0;
+  index_t first = 0;
+  std::vector<index_t> off;
+  std::vector<index_t> lo;
+  std::vector<index_t> hi;
+  std::vector<std::size_t> order;
+  for (std::size_t b = 0; b < m.blocks_.size(); ++b) {
+    const index_t rb = bs[b];
+    off.clear();
+    lo.clear();
+    hi.clear();
+    for (index_t i = rb; i < bs[b + 1]; ++i) {
+      for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
+        if (val[k] == 0.0) continue;
+        index_t& s = slot_of(i, k);
+        if (s < first) {
+          s = first + static_cast<index_t>(off.size());
+          off.push_back(col[k] - i);
+          lo.push_back(i - rb);
+          hi.push_back(0);
+        }
+        hi[static_cast<std::size_t>(s - first)] = i - rb + 1;
+      }
+    }
+    first += static_cast<index_t>(off.size());
+    order.resize(off.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t p, std::size_t q) { return off[p] < off[q]; });
+    DiaBlock& block = m.blocks_[b];
+    for (const std::size_t t : order) {
+      block.taps.push_back(
+          {static_cast<std::ptrdiff_t>(stored) - lo[t], off[t]});
+      block.lo.push_back(lo[t]);
+      block.hi.push_back(hi[t]);
+      stored += static_cast<std::size_t>(hi[t] - lo[t]);
+      m.offsets_.push_back(off[t]);
+    }
+    block.runs =
+        detail::DiaRuns::cut(bs[b + 1] - rb, block.taps, block.lo, block.hi);
+  }
+  std::sort(m.offsets_.begin(), m.offsets_.end());
+  m.offsets_.erase(std::unique(m.offsets_.begin(), m.offsets_.end()),
+                   m.offsets_.end());
+
+  // Pass 2: each nonzero into its tap's range; holes stay zero.
+  m.val_.assign(stored, 0.0);
+  for (std::size_t b = 0; b < m.blocks_.size(); ++b) {
+    const DiaBlock& block = m.blocks_[b];
+    for (std::size_t t = 0; t < block.taps.size(); ++t) {
+      slot[static_cast<std::size_t>(block.taps[t].offset + m.n_)] =
+          static_cast<index_t>(t);
+    }
+    const index_t rb = bs[b];
+    for (index_t i = rb; i < bs[b + 1]; ++i) {
+      for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
+        if (val[k] == 0.0) continue;
+        const simd::DiaTap& tap =
+            block.taps[static_cast<std::size_t>(slot_of(i, k))];
+        m.val_[static_cast<std::size_t>(tap.base + (i - rb))] = val[k];
       }
     }
   }
-  std::sort(m.offsets_.begin(), m.offsets_.end());
-  for (std::size_t d = 0; d < m.offsets_.size(); ++d) {
-    slot[static_cast<std::size_t>(m.offsets_[d] + m.n_)] =
-        static_cast<index_t>(d);
-  }
-  m.val_.assign(m.offsets_.size() * static_cast<std::size_t>(m.n_), 0.0);
-  for (index_t i = 0; i < m.n_; ++i) {
-    for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
-      if (val[k] == 0.0) continue;
-      const auto d = static_cast<std::size_t>(
-          slot[static_cast<std::size_t>(col[k] - i + m.n_)]);
-      m.val_[d * static_cast<std::size_t>(m.n_) + i] = val[k];
-    }
-  }
-  // Each diagonal's valid range [max(0, -off), min(n, n - off)): the SpMV
-  // reads its stored zeros there, as one triad per diagonal would.
-  std::vector<simd::DiaTap> diag;
-  std::vector<index_t> lo;
-  std::vector<index_t> hi;
-  for (std::size_t d = 0; d < m.offsets_.size(); ++d) {
-    const index_t off = m.offsets_[d];
-    diag.push_back({static_cast<std::ptrdiff_t>(d) * m.n_, off});
-    lo.push_back(std::max<index_t>(0, -off));
-    hi.push_back(std::min(m.n_, m.n_ - off));
-  }
-  m.runs_ = detail::DiaRuns::cut(m.n_, diag, lo, hi);
   return m;
 }
 
@@ -119,63 +165,35 @@ void DiaMatrix::multiply_sub(const Vec& x, Vec& y) const {
 void DiaMatrix::multiply_parts(const double* x, double* y,
                                index_t part_begin, index_t part_end,
                                bool subtract) const {
-  simd::dia_sweep_rows(runs_.view(val_.data(), 0), x,
-                       simd::RowUpdate::spmv(y, subtract), part_begin,
-                       part_end);
+  const simd::RowUpdate u = simd::RowUpdate::spmv(y, subtract);
+  // The block holding part_begin, then every block the range meets.
+  auto b = static_cast<std::size_t>(
+      std::upper_bound(block_start_.begin(), block_start_.end(), part_begin) -
+      block_start_.begin());
+  for (b = b > 0 ? b - 1 : 0;
+       b < blocks_.size() && block_start_[b] < part_end; ++b) {
+    const index_t rb = block_start_[b];
+    simd::dia_sweep_rows(blocks_[b].runs.view(val_.data(), rb), x, u,
+                         std::max(part_begin, rb) - rb,
+                         std::min(part_end, block_start_[b + 1]) - rb);
+  }
 }
 
-DiaSegments DiaSegments::build(const CsrMatrix& a, const DiaMatrix& dia,
-                               const index_t* seg_begin,
-                               const index_t* seg_end, index_t row_begin,
-                               index_t row_end) {
-  if (dia.rows() != a.rows()) {
-    throw std::invalid_argument("DiaSegments: DiaMatrix of another size");
-  }
+DiaSegments DiaSegments::build(const DiaMatrix& dia, index_t block,
+                               index_t first_offset, index_t last_offset) {
+  const DiaBlock& b = dia.block(block);
   DiaSegments m;
-  m.row_begin_ = row_begin;
-  m.rows_ = std::max<index_t>(0, row_end - row_begin);
+  m.row_begin_ = dia.block_start()[block];
+  m.rows_ = dia.block_start()[block + 1] - m.row_begin_;
   m.val_ = dia.values().data();
-  const auto& col = a.col_idx();
-  const auto& val = a.values();
-  const std::vector<index_t>& offsets = dia.offsets();
-
-  // Each DiaMatrix diagonal's live local row range, empty until its first
-  // nonzero (rows ascend, so the last row seen is the range's end).  A
-  // row's next nonzero usually lies on the next diagonal: try that first.
-  const std::size_t nd = offsets.size();
-  std::vector<index_t> lo(nd, m.rows_);
-  std::vector<index_t> hi(nd, 0);
-  for (index_t i = 0; i < m.rows_; ++i) {
-    const index_t g = row_begin + i;
-    std::size_t d = nd;
-    for (index_t t = seg_begin[g]; t < seg_end[g]; ++t, ++d) {
-      if (val[t] == 0.0) continue;
-      const index_t off = col[t] - g;
-      if (d >= nd || offsets[d] != off) {
-        d = static_cast<std::size_t>(
-            std::lower_bound(offsets.begin(), offsets.end(), off) -
-            offsets.begin());
-        if (d == nd || offsets[d] != off) {
-          throw std::invalid_argument(
-              "DiaSegments: DiaMatrix lacks a diagonal of the segments");
-        }
-      }
-      lo[d] = std::min(lo[d], i);
-      hi[d] = i + 1;
-    }
+  for (std::size_t t = 0; t < b.taps.size(); ++t) {
+    const index_t off = b.taps[t].offset;
+    if (off < first_offset || off > last_offset) continue;
+    m.diag_.push_back(b.taps[t]);
+    m.lo_.push_back(b.lo[t]);
+    m.hi_.push_back(b.hi[t]);
+    m.reads_ += static_cast<std::size_t>(b.hi[t] - b.lo[t]);
   }
-
-  // The live diagonals in the DiaMatrix's ascending offset order, which
-  // fixes the summation order, hence the bits.
-  for (std::size_t d = 0; d < offsets.size(); ++d) {
-    if (lo[d] >= hi[d]) continue;
-    m.diag_.push_back(
-        {static_cast<std::ptrdiff_t>(d) * dia.rows() + row_begin, offsets[d]});
-    m.lo_.push_back(lo[d]);
-    m.hi_.push_back(hi[d]);
-    m.reads_ += static_cast<std::size_t>(hi[d] - lo[d]);
-  }
-
   m.runs_ = detail::DiaRuns::cut(m.rows_, m.diag_, m.lo_, m.hi_);
   return m;
 }

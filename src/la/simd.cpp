@@ -189,30 +189,70 @@ void apply_row(const RowUpdate& u, index_t g, double s) {
   }
 }
 
+/// Local rows [i, end) of one run over taps [t0, t1), four rows at a time
+/// so their add/subtract chains overlap, as the AVX2 path's lanes do.
+/// Each row keeps its own sum and its own operations in their own order,
+/// so the bits are the one-row loop's.
+template <bool kAdd>
+void dia_run_rows(const DiaRunView& v, const double* xr, const RowUpdate& u,
+                  const DiaTap* t0, const DiaTap* t1, index_t i,
+                  index_t end) {
+  const bool residual = u.mode == Mode::kResidual;
+  const auto start = [&](index_t g) { return residual ? u.y[g] : 0.0; };
+  for (; i + 4 <= end; i += 4) {
+    const index_t g = v.row_begin + i;
+    double s0 = start(g);
+    double s1 = start(g + 1);
+    double s2 = start(g + 2);
+    double s3 = start(g + 3);
+    for (const DiaTap* t = t0; t != t1; ++t) {
+      const double* a = v.val + (t->base + i);
+      const double* b = xr + (i + t->offset);
+      if constexpr (kAdd) {
+        s0 += a[0] * b[0];
+        s1 += a[1] * b[1];
+        s2 += a[2] * b[2];
+        s3 += a[3] * b[3];
+      } else {
+        s0 -= a[0] * b[0];
+        s1 -= a[1] * b[1];
+        s2 -= a[2] * b[2];
+        s3 -= a[3] * b[3];
+      }
+    }
+    apply_row(u, g, s0);
+    apply_row(u, g + 1, s1);
+    apply_row(u, g + 2, s2);
+    apply_row(u, g + 3, s3);
+  }
+  for (; i < end; ++i) {
+    const index_t g = v.row_begin + i;
+    double s = start(g);
+    for (const DiaTap* t = t0; t != t1; ++t) {
+      const double term = v.val[t->base + i] * xr[i + t->offset];
+      s = kAdd ? s + term : s - term;
+    }
+    apply_row(u, g, s);
+  }
+}
+
 }  // namespace
 
 void dia_sweep_rows(const DiaRunView& v, const double* x, const RowUpdate& u,
                     index_t local_begin, index_t local_end) {
   const double* xr = x + v.row_begin;
+  const bool add = u.mode == Mode::kProduct;
   index_t k = 0;
   while (k + 1 < v.runs && v.run_row[k + 1] <= local_begin) ++k;
   for (; k < v.runs && v.run_row[k] < local_end; ++k) {
     const DiaTap* t0 = v.taps + v.run_tap[k];
     const DiaTap* t1 = u.mode == Mode::kFinal ? t0 : v.taps + v.run_tap[k + 1];
+    const index_t begin = std::max(v.run_row[k], local_begin);
     const index_t end = std::min(v.run_row[k + 1], local_end);
-    for (index_t i = std::max(v.run_row[k], local_begin); i < end; ++i) {
-      const index_t g = v.row_begin + i;
-      double s = u.mode == Mode::kResidual ? u.y[g] : 0.0;
-      if (u.mode == Mode::kProduct) {
-        for (const DiaTap* t = t0; t != t1; ++t) {
-          s += v.val[t->base + i] * xr[i + t->offset];
-        }
-      } else {
-        for (const DiaTap* t = t0; t != t1; ++t) {
-          s -= v.val[t->base + i] * xr[i + t->offset];
-        }
-      }
-      apply_row(u, g, s);
+    if (add) {
+      dia_run_rows<true>(v, xr, u, t0, t1, begin, end);
+    } else {
+      dia_run_rows<false>(v, xr, u, t0, t1, begin, end);
     }
   }
 }

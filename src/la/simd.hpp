@@ -177,11 +177,11 @@ struct DiaTap {
   index_t offset = 0;
 };
 
-/// Non-owning view of diagonals cut into RUNS (a whole la::DiaMatrix, or
-/// one colour class of it in la::DiaSegments): run k covers local rows
-/// [run_row[k], run_row[k+1]) and sums taps [run_tap[k], run_tap[k+1]),
-/// in ascending offset order, over every row of it — no per-diagonal
-/// clamp.
+/// Non-owning view of diagonals cut into RUNS (one row block of a
+/// la::DiaMatrix, or the lower or upper taps of one in la::DiaSegments):
+/// run k covers local rows [run_row[k], run_row[k+1]) and sums taps
+/// [run_tap[k], run_tap[k+1]), in ascending offset order, over every row
+/// of it — no per-diagonal clamp.
 struct DiaRunView {
   const double* val = nullptr;
   const DiaTap* taps = nullptr;

@@ -177,8 +177,10 @@ Prepared Solver::prepare_impl(const la::CsrMatrix& k,
     const obs::Span probe_span("format_probe");
     p.resolved_format_ = detail::resolve_format(config_.format, *p.matrix_);
     if (p.resolved_format_ == MatrixFormat::kDia) {
-      p.dia_ = std::make_shared<const la::DiaMatrix>(
-          la::DiaMatrix::from_csr(*p.matrix_));
+      // Blocked by the colour classes, so the DIA sweep views its blocks.
+      p.dia_ = std::make_shared<const la::DiaMatrix>(la::DiaMatrix::from_csr(
+          *p.matrix_,
+          p.cs_ ? p.cs_->class_start : std::vector<index_t>{}));
       p.op_ = std::make_unique<la::DiaOperator>(*p.dia_);
     } else if (p.resolved_format_ == MatrixFormat::kSell) {
       p.sell_ = std::make_unique<la::SellMatrix>(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "color/coloring.hpp"
 #include "core/multicolor_mstep.hpp"
@@ -105,10 +106,33 @@ TEST(EdgeCase, DiaMatrixRejectsRectangular) {
 }
 
 TEST(EdgeCase, DiaStoredValuesAccountsAllDiagonals) {
+  // Each block stores every offset live on its rows over its live range,
+  // first to last nonzero row, holes included, and nothing else.
   const auto a = fem::PoissonProblem(4, 4).matrix();
-  const auto d = la::DiaMatrix::from_csr(a);
-  EXPECT_EQ(d.stored_values(),
-            static_cast<std::size_t>(d.num_nonzero_diagonals()) * a.rows());
+  const std::vector<index_t> halves{0, 8, 16};
+  for (const auto& blocks : {std::vector<index_t>{}, halves}) {
+    const auto d = la::DiaMatrix::from_csr(a, blocks);
+    const std::vector<index_t>& bs = d.block_start();
+    std::size_t live = 0;
+    for (std::size_t b = 0; b + 1 < bs.size(); ++b) {
+      for (index_t off = -a.rows(); off <= a.rows(); ++off) {
+        index_t first = -1;
+        index_t last = -1;
+        for (index_t i = bs[b]; i < bs[b + 1]; ++i) {
+          if (i + off < 0 || i + off >= a.rows() || a.at(i, i + off) == 0.0) {
+            continue;
+          }
+          if (first < 0) first = i;
+          last = i;
+        }
+        if (first >= 0) live += static_cast<std::size_t>(last - first + 1);
+      }
+    }
+    EXPECT_EQ(d.stored_values(), live) << bs.size() - 1 << " blocks";
+  }
+  // The 5-point offsets -4, -1, 0, 1, 4 over one block: 12 + 15 + 16 + 15
+  // + 12 values, not 5 full-length diagonals of 16.
+  EXPECT_EQ(la::DiaMatrix::from_csr(a).stored_values(), 70u);
 }
 
 TEST(EdgeCase, PolynomialTrimDropsZeros) {

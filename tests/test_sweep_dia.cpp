@@ -2,9 +2,10 @@
 // CYBER layout, Section 3.1): bitwise determinism across every execution
 // path, agreement with the SELL layout, a brute-force check of the DIA
 // segment build and its runs, the fused sweep pass against the two-pass
-// sweep it replaced, the DIA SpMV mode of the same pass against the
-// per-diagonal triads it replaced, the shared sweep plan (no per-call rebuilds, one copy
-// of the DIA operator's diagonals), the reported sweep format, and pinned
+// sweep it replaced, the DIA SpMV mode of the same pass and the blocked
+// store of live diagonals against the full-length per-diagonal triads
+// they replaced, the shared sweep plan (no per-call rebuilds, one copy of
+// the DIA operator's diagonals), the reported sweep format, and pinned
 // solution bits of both layouts.
 #include <gtest/gtest.h>
 
@@ -190,6 +191,8 @@ TEST(DiaSweep, AgreesWithSellPerApplyAndInIterations) {
 void check_segments(const color::ColoredSystem& cs, long long* skipped) {
   const auto plan = core::SweepPlan::build(cs, la::SegmentLayout::kDia);
   const color::RowSplits& splits = plan->splits();
+  const color::ClassDiagonalCensus census =
+      color::compute_class_diagonal_census(cs, splits);
   const la::CsrMatrix& a = cs.matrix;
   const auto& rp = a.row_ptr();
   const auto& col = a.col_idx();
@@ -207,6 +210,9 @@ void check_segments(const color::ColoredSystem& cs, long long* skipped) {
       const la::DiaSegments& d = segs.dia();
       ASSERT_EQ(d.row_begin(), rb);
       ASSERT_EQ(d.rows(), re - rb);
+      // The CSR census counts the same distinct offsets; the plan's DIA
+      // census is read from the segments.
+      EXPECT_EQ(d.num_diagonals(), lower ? census.lower[c] : census.upper[c]);
       EXPECT_EQ(d.num_diagonals(),
                 lower ? plan->census().lower[c] : plan->census().upper[c]);
 
@@ -257,9 +263,19 @@ void check_segments(const color::ColoredSystem& cs, long long* skipped) {
       }
     }
   }
-  // A class block's diagonals are a subset of the matrix's.
-  EXPECT_LE(plan->stored_values(),
-            la::DiaMatrix::from_csr(cs.matrix).stored_values());
+  // The segments are the class blocks' off-diagonal taps: with the main
+  // diagonal's ranges they are everything the blocked DiaMatrix stores.
+  std::size_t main_diagonal = 0;
+  for (int c = 0; c < cs.num_classes(); ++c) {
+    const la::DiaBlock& block = plan->dia()->block(c);
+    for (std::size_t t = 0; t < block.taps.size(); ++t) {
+      if (block.taps[t].offset == 0) {
+        main_diagonal += static_cast<std::size_t>(block.hi[t] - block.lo[t]);
+      }
+    }
+  }
+  EXPECT_EQ(plan->stored_values() + main_diagonal,
+            plan->dia()->stored_values());
 }
 
 TEST(DiaSegmentsBuild, MatchesTheCsrMatrixEntryForEntry) {
@@ -440,7 +456,8 @@ TEST(DiaRuns, FusedPassMatchesTheTwoPassSweepAcrossRunBoundaries) {
   // live ranges: runs of 1 to 12 rows, rows with no live diagonal at both
   // ends, holes inside the ranges (absent entries and an explicit zero)
   // and an explicit zero past a range's end, which must not widen it.
-  // Rows [48, 54) hold no entries: a class with 0 diagonals.  The kernel
+  // Rows [48, 54) hold no entries: a class with 0 diagonals.  The class
+  // segments are every tap of the class's DiaMatrix block.  The kernel
   // reads x from a vector of its own here, so columns may fall anywhere.
   const index_t n = 80;
   const index_t rb = 16;
@@ -460,14 +477,10 @@ TEST(DiaRuns, FusedPassMatchesTheTwoPassSweepAcrossRunBoundaries) {
   put(9, 30, rng.uniform());
   for (index_t i = 6; i < 9; ++i) put(i, 35, rng.uniform());
   const la::CsrMatrix a = coo.build();
-  const index_t* begin = a.row_ptr().data();
-  const index_t* end = a.row_ptr().data() + 1;
 
-  const la::DiaMatrix dia = la::DiaMatrix::from_csr(a);
-  const la::ClassSegments segs =
-      la::ClassSegments::build(a, begin, end, rb, re, &dia);
-  const la::ClassSegments empty =
-      la::ClassSegments::build(a, begin, end, re, 54, &dia);
+  const la::DiaMatrix dia = la::DiaMatrix::from_csr(a, {0, rb, re, 54, n});
+  const la::ClassSegments segs = la::ClassSegments::build(dia, 1, -n, n);
+  const la::ClassSegments empty = la::ClassSegments::build(dia, 2, -n, n);
   const la::DiaSegments& d = segs.dia();
   ASSERT_EQ(d.num_diagonals(), 6);
   ASSERT_EQ(empty.dia().num_diagonals(), 0);
@@ -520,113 +533,258 @@ TEST(DiaRuns, FusedPassMatchesTheTwoPassSweepAcrossRunBoundaries) {
   }
 }
 
-/// y = A x, or y -= A x, as the DIA SpMV ran before it became a mode of
-/// the fused pass: y zeroed for the product, then one triad per diagonal
-/// over its valid rows [max(0, -off), min(n, n - off)), in ascending
-/// offset order.
-Vec triad_spmv(const la::DiaMatrix& a, const Vec& x, Vec y, bool subtract) {
-  const index_t n = a.rows();
-  if (!subtract) y.assign(static_cast<std::size_t>(n), 0.0);
-  for (index_t d = 0; d < a.num_nonzero_diagonals(); ++d) {
-    const index_t off = a.offsets()[d];
-    triad(a.values().data() + static_cast<std::size_t>(d) * n, x.data(),
-          y.data(), std::max<index_t>(0, -off), std::min(n, n - off), off,
-          subtract);
+/// The DIA store as it was before it was blocked: every offset holding a
+/// nonzero at full length n, zeros off its nonzeros, val[d * n + i] =
+/// A(i, i + offsets[d]).
+struct FullLength {
+  index_t n = 0;
+  std::vector<index_t> offsets;
+  std::vector<double> val;
+
+  explicit FullLength(const la::CsrMatrix& a) : n(a.rows()) {
+    const auto& rp = a.row_ptr();
+    const auto& col = a.col_idx();
+    const auto& v = a.values();
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
+        if (v[k] != 0.0) offsets.push_back(col[k] - i);
+      }
+    }
+    std::sort(offsets.begin(), offsets.end());
+    offsets.erase(std::unique(offsets.begin(), offsets.end()), offsets.end());
+    val.assign(offsets.size() * static_cast<std::size_t>(n), 0.0);
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
+        if (v[k] == 0.0) continue;
+        const auto d = static_cast<std::size_t>(
+            std::lower_bound(offsets.begin(), offsets.end(), col[k] - i) -
+            offsets.begin());
+        val[d * static_cast<std::size_t>(n) + i] = v[k];
+      }
+    }
   }
-  return y;
-}
+
+  /// y = A x, or y -= A x, as the DIA SpMV ran before it became a mode of
+  /// the fused pass: y zeroed for the product, then one triad per diagonal
+  /// over its valid rows [max(0, -off), min(n, n - off)), in ascending
+  /// offset order.
+  [[nodiscard]] Vec triads(const Vec& x, Vec y, bool subtract) const {
+    if (!subtract) y.assign(static_cast<std::size_t>(n), 0.0);
+    for (std::size_t d = 0; d < offsets.size(); ++d) {
+      const index_t off = offsets[d];
+      triad(val.data() + d * static_cast<std::size_t>(n), x.data(), y.data(),
+            std::max<index_t>(0, -off), std::min(n, n - off), off, subtract);
+    }
+    return y;
+  }
+};
 
 bool same_bits(const Vec& a, const Vec& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// `dia` against the full-length triads of `a`, under both kernel paths:
+/// multiply, multiply_sub, every two-piece multiply_parts split (unless
+/// `every_cut` is false), strip splits, and a threads=4 Execution (whose
+/// strips cross blocks).
+void expect_triad_bits(const la::CsrMatrix& a, const la::DiaMatrix& dia,
+                       const Vec& x, const Vec& y0, bool every_cut = true) {
+  const FullLength full(a);
+  ASSERT_EQ(dia.offsets(), full.offsets);
+  const Vec want_product = full.triads(x, {}, false);
+  const Vec want_residual = full.triads(x, y0, true);
+  const index_t rows = dia.rows();
+  std::vector<std::vector<index_t>> splits;
+  for (index_t cut = 0; every_cut && cut <= rows; ++cut) {
+    splits.push_back({0, cut, rows});
+  }
+  for (const index_t strips : {2, 3, 4, 7}) {
+    std::vector<index_t> bounds;
+    for (index_t k = 0; k <= strips; ++k) bounds.push_back(k * rows / strips);
+    splits.push_back(bounds);
+  }
+  const par::Execution four(4);
+  for (const auto simd : {la::simd::SimdMode::kForceScalar,
+                          la::simd::SimdMode::kForceVector}) {
+    const la::simd::SimdModeGuard guard(simd);
+    SCOPED_TRACE(la::simd::simd_isa());
+    Vec y;
+    dia.multiply(x, y);
+    EXPECT_TRUE(same_bits(y, want_product));
+    y = y0;
+    dia.multiply_sub(x, y);
+    EXPECT_TRUE(same_bits(y, want_residual));
+    for (const bool subtract : {false, true}) {
+      const Vec& want = subtract ? want_residual : want_product;
+      for (const auto& bounds : splits) {
+        y = y0;
+        for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+          dia.multiply_parts(x.data(), y.data(), bounds[k], bounds[k + 1],
+                             subtract);
+        }
+        ASSERT_TRUE(same_bits(y, want))
+            << "subtract " << subtract << " pieces " << bounds.size() - 1
+            << " first cut " << bounds[1];
+      }
+    }
+    four.spmv(dia, x, y);
+    EXPECT_TRUE(same_bits(y, want_product));
+    y = y0;
+    four.spmv_sub(dia, x, y);
+    EXPECT_TRUE(same_bits(y, want_residual));
+  }
+}
+
+/// A 40-row band with holes, whose row 20 has only -0 terms: its x
+/// entries are -0 and its values positive.
+constexpr index_t kBandRows = 40;
+constexpr index_t kZeroRow = 20;
+
+la::CsrMatrix zero_row_band(util::Rng& rng, Vec* x) {
+  const index_t offsets[] = {-11, -4, -1, 0, 1, 3, 9};
+  la::CooBuilder coo(kBandRows, kBandRows);
+  for (index_t i = 0; i < kBandRows; ++i) {
+    for (const index_t off : offsets) {
+      if (i + off < 0 || i + off >= kBandRows) continue;
+      if (i != kZeroRow && rng.uniform() < 0.2) continue;  // a hole
+      coo.add(i, i + off,
+              i == kZeroRow ? rng.uniform(0.5, 1.5) : rng.uniform(-1.0, 1.0));
+    }
+  }
+  *x = rng.uniform_vector(kBandRows, -1.0, 1.0);
+  for (const index_t off : offsets) (*x)[kZeroRow + off] = -0.0;
+  return coo.build();
 }
 
 TEST(DiaSpmv, MultiplyIsThePerDiagonalTriadsBitwise) {
-  // A 40-row band with holes, whose row 20 has only -0 terms: its x
-  // entries are -0 and its values positive.  Its product must be the
-  // triads' +0 (a sum started from -0 would stay -0), and from y = -0 its
-  // residual the triads' +0 (subtracting the finished sum would give -0).
-  const index_t n = 40;
-  const index_t zero_row = 20;
-  const index_t offsets[] = {-11, -4, -1, 0, 1, 3, 9};
+  // The -0 band's row 20 product must be the triads' +0 (a sum started
+  // from -0 would stay -0), and from y = -0 its residual the triads' +0
+  // (subtracting the finished sum would give -0).
   util::Rng rng(5);
-  la::CooBuilder coo(n, n);
-  for (index_t i = 0; i < n; ++i) {
-    for (const index_t off : offsets) {
-      if (i + off < 0 || i + off >= n) continue;
-      if (i != zero_row && rng.uniform() < 0.2) continue;  // a hole
-      coo.add(i, i + off,
-              i == zero_row ? rng.uniform(0.5, 1.5) : rng.uniform(-1.0, 1.0));
-    }
+  Vec band_x;
+  const la::CsrMatrix band = zero_row_band(rng, &band_x);
+  Vec band_y0 = rng.uniform_vector(kBandRows, -1.0, 1.0);
+  band_y0[kZeroRow] = -0.0;
+  {
+    SCOPED_TRACE("band");
+    const FullLength full(band);
+    ASSERT_FALSE(std::signbit(full.triads(band_x, {}, false)[kZeroRow]));
+    ASSERT_FALSE(std::signbit(full.triads(band_x, band_y0, true)[kZeroRow]));
+    expect_triad_bits(band, la::DiaMatrix::from_csr(band), band_x, band_y0);
   }
-  Vec band_x = rng.uniform_vector(n, -1.0, 1.0);
-  for (const index_t off : offsets) band_x[zero_row + off] = -0.0;
-
-  struct Case {
-    std::string name;
-    la::CsrMatrix matrix;
-    Vec x;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"band", coo.build(), band_x});
+  // One block over the colour-permuted catalog systems.
   for (const char* spec : kSystems) {
+    SCOPED_TRACE(spec);
     const System s = load(spec);
     const color::ColoredSystem cs =
         color::make_colored_system(s.problem.matrix, s.classes);
-    cases.push_back({spec, cs.matrix, rng.uniform_vector(cs.size(), -1.0, 1.0)});
+    expect_triad_bits(cs.matrix, la::DiaMatrix::from_csr(cs.matrix),
+                      rng.uniform_vector(cs.size(), -1.0, 1.0),
+                      rng.uniform_vector(cs.size(), -1.0, 1.0),
+                      /*every_cut=*/false);
   }
+}
 
-  const par::Execution four(4);
-  for (const Case& c : cases) {
-    const la::DiaMatrix dia = la::DiaMatrix::from_csr(c.matrix);
-    const index_t rows = dia.rows();
-    Vec y0 = rng.uniform_vector(rows, -1.0, 1.0);
-    if (c.name == "band") y0[zero_row] = -0.0;
-    const Vec want_product = triad_spmv(dia, c.x, {}, false);
-    const Vec want_residual = triad_spmv(dia, c.x, y0, true);
-    if (c.name == "band") {
-      ASSERT_FALSE(std::signbit(want_product[zero_row]));
-      ASSERT_FALSE(std::signbit(want_residual[zero_row]));
-    }
-    // Two-piece splits at every row of the band; strip splits everywhere.
-    std::vector<std::vector<index_t>> splits;
-    if (rows <= n) {
-      for (index_t cut = 0; cut <= rows; ++cut) splits.push_back({0, cut, rows});
-    }
-    for (const index_t strips : {2, 3, 4, 7}) {
-      std::vector<index_t> bounds;
-      for (index_t k = 0; k <= strips; ++k) bounds.push_back(k * rows / strips);
-      splits.push_back(bounds);
-    }
-    for (const auto simd : {la::simd::SimdMode::kForceScalar,
-                            la::simd::SimdMode::kForceVector}) {
-      const la::simd::SimdModeGuard guard(simd);
-      SCOPED_TRACE(c.name + " " + la::simd::simd_isa());
-      Vec y;
-      dia.multiply(c.x, y);
-      EXPECT_TRUE(same_bits(y, want_product));
-      y = y0;
-      dia.multiply_sub(c.x, y);
-      EXPECT_TRUE(same_bits(y, want_residual));
-      for (const bool subtract : {false, true}) {
-        const Vec& want = subtract ? want_residual : want_product;
-        for (const auto& bounds : splits) {
-          y = y0;
-          for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-            dia.multiply_parts(c.x.data(), y.data(), bounds[k],
-                               bounds[k + 1], subtract);
-          }
-          ASSERT_TRUE(same_bits(y, want))
-              << "subtract " << subtract << " pieces " << bounds.size() - 1
-              << " first cut " << bounds[1];
-        }
+TEST(DiaMatrix, BlockedStoreIsTheFullLengthLayoutBitwise) {
+  util::Rng rng(17);
+  const auto random = [&](index_t n) {
+    return rng.uniform_vector(n, -1.0, 1.0);
+  };
+  // Catalog systems blocked by their colour classes (closed-form, else
+  // greedy), n >= 2048 so the threads=4 strips engage.
+  for (const char* spec :
+       {"femplate:a=36", "cyberplate:a=36", "randspd:n=2500:band=8",
+        "poisson3d:n=14", "stencil9:n=48"}) {
+    SCOPED_TRACE(spec);
+    const System s = load(spec);
+    const color::ColoredSystem cs =
+        color::make_colored_system(s.problem.matrix, s.classes);
+    ASSERT_GE(cs.size(), 2048);
+    const la::DiaMatrix dia =
+        la::DiaMatrix::from_csr(cs.matrix, cs.class_start);
+    ASSERT_EQ(dia.block_start(), cs.class_start);
+    expect_triad_bits(cs.matrix, dia, random(cs.size()), random(cs.size()));
+  }
+  {
+    SCOPED_TRACE("natural ordering, one block");
+    const la::CsrMatrix natural = load("femplate:a=36").problem.matrix;
+    expect_triad_bits(natural,
+                      la::DiaMatrix::from_csr(natural, {0, natural.rows()}),
+                      random(natural.rows()), random(natural.rows()));
+  }
+  // Edge blocks on a 12-row band: an empty block [3, 3), a block [3, 4)
+  // whose row holds only its diagonal, and blocks of 1 and 8 rows.
+  {
+    SCOPED_TRACE("edge blocks");
+    la::CooBuilder coo(12, 12);
+    for (index_t i = 0; i < 12; ++i) {
+      for (index_t j = std::max<index_t>(0, i - 2); j < std::min(12, i + 3);
+           ++j) {
+        if (i == j || (i != 3 && j != 3)) coo.add(i, j, rng.uniform(0.5, 2.0));
       }
-      four.spmv(dia, c.x, y);
-      EXPECT_TRUE(same_bits(y, want_product));
-      y = y0;
-      four.spmv_sub(dia, c.x, y);
-      EXPECT_TRUE(same_bits(y, want_residual));
     }
+    const la::CsrMatrix a = coo.build();
+    const la::DiaMatrix dia = la::DiaMatrix::from_csr(a, {0, 3, 3, 4, 12});
+    ASSERT_EQ(dia.block_start().size(), 5u);
+    EXPECT_TRUE(dia.block(1).taps.empty());
+    ASSERT_EQ(dia.block(2).taps.size(), 1u);
+    EXPECT_EQ(dia.block(2).taps[0].offset, 0);
+    expect_triad_bits(a, dia, random(12), random(12));
+  }
+  {
+    SCOPED_TRACE("n = 1");
+    la::CooBuilder coo(1, 1);
+    coo.add(0, 0, 3.0);
+    const la::CsrMatrix a = coo.build();
+    expect_triad_bits(a, la::DiaMatrix::from_csr(a), random(1), random(1));
+    expect_triad_bits(a, la::DiaMatrix::from_csr(a, {0, 0, 1, 1}), random(1),
+                      random(1));
+  }
+  {
+    SCOPED_TRACE("empty matrix");
+    const la::CsrMatrix a = la::CooBuilder(0, 0).build();
+    const la::DiaMatrix dia = la::DiaMatrix::from_csr(a);
+    EXPECT_EQ(dia.stored_values(), 0u);
+    expect_triad_bits(a, dia, {}, {});
+  }
+  {
+    SCOPED_TRACE("-0 band");
+    Vec x;
+    const la::CsrMatrix band = zero_row_band(rng, &x);
+    Vec y0 = random(kBandRows);
+    y0[kZeroRow] = -0.0;
+    expect_triad_bits(band,
+                      la::DiaMatrix::from_csr(band, {0, 13, kZeroRow,
+                                                     kZeroRow + 1, kBandRows}),
+                      x, y0);
+  }
+  // The one documented exception: a row whose every term is a dropped
+  // zero keeps a residual's -0, where the full-length sum -0 - (0 * -1)
+  // gave +0.  Row 1 has no entries, so its block [1, 2) stores nothing.
+  {
+    la::CooBuilder coo(3, 3);
+    coo.add(0, 0, 1.0);
+    coo.add(2, 2, 1.0);
+    const la::CsrMatrix a = coo.build();
+    const Vec x{1.0, -1.0, 1.0};
+    const Vec y0{1.0, -0.0, 1.0};
+    Vec y = y0;
+    la::DiaMatrix::from_csr(a, {0, 1, 2, 3}).multiply_sub(x, y);
+    EXPECT_TRUE(std::signbit(y[1]));
+    EXPECT_FALSE(std::signbit(FullLength(a).triads(x, y0, true)[1]));
+  }
+  // The served benchmark's miss matrix stores its nonzeros and nothing
+  // else; at full length it took 57 diagonals of 20 000.
+  {
+    const System s = load("randspd:n=20000:band=8:seed=3");
+    const color::ColoredSystem cs =
+        color::make_colored_system(s.problem.matrix, s.classes);
+    const la::DiaMatrix dia =
+        la::DiaMatrix::from_csr(cs.matrix, cs.class_start);
+    EXPECT_EQ(dia.num_nonzero_diagonals(), 57);
+    EXPECT_EQ(dia.stored_values(), 339928u);
   }
 }
 
@@ -672,9 +830,10 @@ TEST(SweepPlan, SolveAndSolveManyBuildNoSegments) {
 }
 
 TEST(SweepPlan, DiaTapsReadTheOperatorsDiagonals) {
-  // A prepared DIA pipeline holds one DiaMatrix, the operator's: its sweep
-  // plan shares it, and every tap reads row g of the tap's own diagonal
-  // inside that storage.
+  // A prepared DIA pipeline holds one DiaMatrix, the operator's, blocked
+  // by the colour classes: its sweep plan shares it, the segments of class
+  // c are block c's taps (negative offsets lower, positive upper), and
+  // every tap reads, inside that storage, the matrix entry of its row.
   for (const char* spec : kSystems) {
     SCOPED_TRACE(spec);
     const System s = load(spec);
@@ -685,20 +844,42 @@ TEST(SweepPlan, DiaTapsReadTheOperatorsDiagonals) {
     ASSERT_NE(dia, nullptr);
     const auto& plan = prepared.sweep_plan();
     ASSERT_EQ(plan->dia().get(), dia);
-    const index_t n = dia->rows();
+    const color::ColoredSystem& cs = plan->system();
+    ASSERT_EQ(dia->block_start(), cs.class_start);
     const auto stored = static_cast<std::ptrdiff_t>(dia->stored_values());
-    for (int c = 0; c < plan->system().num_classes(); ++c) {
-      for (const la::ClassSegments* segs : {&plan->lower(c), &plan->upper(c)}) {
-        const la::simd::DiaRunView v = segs->dia().view();
+    for (int c = 0; c < cs.num_classes(); ++c) {
+      const la::DiaBlock& block = dia->block(c);
+      for (const bool lower : {true, false}) {
+        const la::ClassSegments& segs = lower ? plan->lower(c) : plan->upper(c);
+        const la::DiaSegments& d = segs.dia();
+        // The block's taps of this sign, in order, with their ranges.
+        std::vector<std::size_t> want;
+        for (std::size_t t = 0; t < block.taps.size(); ++t) {
+          if (lower ? block.taps[t].offset < 0 : block.taps[t].offset > 0) {
+            want.push_back(t);
+          }
+        }
+        ASSERT_EQ(static_cast<std::size_t>(d.num_diagonals()), want.size());
+        for (index_t k = 0; k < d.num_diagonals(); ++k) {
+          const std::size_t t = want[static_cast<std::size_t>(k)];
+          ASSERT_EQ(d.offset(k), block.taps[t].offset);
+          ASSERT_EQ(d.lo(k), block.lo[t]);
+          ASSERT_EQ(d.hi(k), block.hi[t]);
+          ASSERT_EQ(d.values(k),
+                    dia->values().data() + block.taps[t].base + block.lo[t]);
+        }
+        const la::simd::DiaRunView v = d.view();
         ASSERT_EQ(v.val, dia->values().data());
+        ASSERT_EQ(v.row_begin, cs.class_start[c]);
         for (index_t k = 0; k < v.runs; ++k) {
           for (index_t t = v.run_tap[k]; t < v.run_tap[k + 1]; ++t) {
             for (index_t i = v.run_row[k]; i < v.run_row[k + 1]; ++i) {
               const std::ptrdiff_t at = v.taps[t].base + i;
               ASSERT_GE(at, 0);
               ASSERT_LT(at, stored);
-              ASSERT_EQ(at % n, v.row_begin + i);
-              ASSERT_EQ(dia->offsets()[at / n], v.taps[t].offset);
+              const index_t g = v.row_begin + i;
+              ASSERT_EQ(dia->values()[static_cast<std::size_t>(at)],
+                        cs.matrix.at(g, g + v.taps[t].offset));
             }
           }
         }
@@ -712,25 +893,31 @@ TEST(SweepPlan, RejectsADiaMatrixItCannotIndex) {
   const color::ColoredSystem cs =
       color::make_colored_system(s.problem.matrix, s.classes);
   const auto own = std::make_shared<const la::DiaMatrix>(
-      la::DiaMatrix::from_csr(cs.matrix));
+      la::DiaMatrix::from_csr(cs.matrix, cs.class_start));
   EXPECT_THROW((void)core::SweepPlan::build(cs, la::SegmentLayout::kSell, own),
                std::invalid_argument);
-  const auto other = std::make_shared<const la::DiaMatrix>(
-      la::DiaMatrix::from_csr(load("femplate:a=9").problem.matrix));
-  EXPECT_THROW(
-      (void)core::SweepPlan::build(cs, la::SegmentLayout::kDia, other),
-      std::invalid_argument);
   EXPECT_EQ(core::SweepPlan::build(cs, la::SegmentLayout::kDia, own)->dia(),
             own);
-  // Segments over a DiaMatrix that lacks their diagonals.
-  la::CooBuilder diagonal(cs.size(), cs.size());
-  for (index_t i = 0; i < cs.size(); ++i) diagonal.add(i, i, 1.0);
-  const la::DiaMatrix main_only = la::DiaMatrix::from_csr(diagonal.build());
-  const color::RowSplits splits = color::compute_row_splits(cs);
-  EXPECT_THROW((void)la::ClassSegments::build(
-                   cs.matrix, cs.matrix.row_ptr().data(), splits.lo_end.data(),
-                   cs.class_start[1], cs.class_start[2], &main_only),
-               std::invalid_argument);
+  // Blocks that are not the colour classes: another matrix's, one block,
+  // and the classes with one boundary moved.
+  std::vector<index_t> moved = cs.class_start;
+  ++moved[1];
+  const la::CsrMatrix other = load("femplate:a=9").problem.matrix;
+  for (const auto& wrong :
+       {la::DiaMatrix::from_csr(other), la::DiaMatrix::from_csr(cs.matrix),
+        la::DiaMatrix::from_csr(cs.matrix, moved)}) {
+    EXPECT_THROW((void)core::SweepPlan::build(
+                     cs, la::SegmentLayout::kDia,
+                     std::make_shared<const la::DiaMatrix>(wrong)),
+                 std::invalid_argument);
+  }
+  // Blocks must run from 0 to n in order.
+  const index_t n = cs.size();
+  for (const std::vector<index_t>& bad :
+       {std::vector<index_t>{0}, {1, n}, {0, n - 1}, {0, 5, 4, n}}) {
+    EXPECT_THROW((void)la::DiaMatrix::from_csr(cs.matrix, bad),
+                 std::invalid_argument);
+  }
 }
 
 TEST(SweepPlan, MakePreconditionerPicksThePreparedLayout) {
@@ -761,7 +948,7 @@ TEST(SweepPlan, MakePreconditionerPicksThePreparedLayout) {
     sweep->apply(r, got);
     EXPECT_EQ(want, got) << solver::to_string(format);
     // With no operator to share, a DIA plan builds a DiaMatrix of its own,
-    // equal to the prepared operator's.
+    // blocked by the classes: the same values as the prepared operator's.
     if (prepared.dia_matrix() != nullptr) {
       ASSERT_NE(sweep->plan()->dia(), nullptr);
       EXPECT_NE(sweep->plan()->dia().get(), prepared.dia_matrix());

@@ -136,16 +136,20 @@ TEST(SweepStrips, EqualWindowStripsPartitionEveryClass) {
   const color::RowSplits splits = color::compute_row_splits(cs);
   util::Rng rng(9);
   const Vec x = rng.uniform_vector(cs.size());
-  const la::DiaMatrix dia = la::DiaMatrix::from_csr(cs.matrix);
+  const la::DiaMatrix dia =
+      la::DiaMatrix::from_csr(cs.matrix, cs.class_start);
 
   for (const auto layout :
        {la::SegmentLayout::kSell, la::SegmentLayout::kDia}) {
     for (int c = 0; c < cs.num_classes(); ++c) {
       const index_t rb = cs.class_start[c];
       const index_t re = cs.class_start[c + 1];
-      const la::ClassSegments segs = la::ClassSegments::build(
-          cs.matrix, cs.matrix.row_ptr().data(), splits.lo_end.data(), rb, re,
-          layout == la::SegmentLayout::kDia ? &dia : nullptr);
+      const la::ClassSegments segs =
+          layout == la::SegmentLayout::kDia
+              ? la::ClassSegments::build(dia, c, -cs.size(), -1)
+              : la::ClassSegments::build(cs.matrix,
+                                         cs.matrix.row_ptr().data(),
+                                         splits.lo_end.data(), rb, re);
       ASSERT_EQ(segs.layout(), layout);
       ASSERT_EQ(segs.row_begin(), rb);
       ASSERT_EQ(segs.row_end(), re);
